@@ -162,12 +162,15 @@ pub struct Program {
 }
 
 /// Lifts `cumf_core::kernel::sgd_update::<E>` — Algorithm 1's inner
-/// loop as the GPU executes it. The portable Rust kernel calls
-/// `to_f32` on every element twice (once in the dot product, once in
-/// the update loop); on the GPU the second read hits the register file,
-/// which the lift makes explicit: the second `LoadVec` pair targets the
-/// *same destination registers*, which the traffic interpreter
-/// recognises as register-resident (0 DRAM bytes).
+/// loop as the GPU executes it. Both the GPU kernel and the portable
+/// Rust kernel read each row twice (once in the dot product, once in
+/// the update loop) but fetch it from memory once: the GPU reads the
+/// register file the second time, and the Rust kernel reads the f32
+/// buffers it widened each row into (or, for f32 rows, the lines the
+/// dot product just loaded). The lift keeps the second read explicit:
+/// the second `LoadVec` pair targets the *same destination registers*,
+/// which the traffic interpreter recognises as register-resident
+/// (0 DRAM bytes).
 pub fn lift_sgd_update(k: u32, elem: Dtype) -> Program {
     let (rp, rq, acc, pn, qn) = (Reg(0), Reg(1), Reg(2), Reg(3), Reg(4));
     let coal = Access::CoalescedRow;
@@ -224,8 +227,7 @@ pub fn lift_sgd_update(k: u32, elem: Dtype) -> Program {
         },
     ]);
     if elem == Dtype::F16 {
-        // The portable kernel converts on every read; the conversions
-        // are register-file ops (no traffic, uncounted flops).
+        // Casts are register-file ops (no traffic, uncounted flops).
         insts.push(Inst::Cast {
             src: rp,
             from: Dtype::F16,

@@ -57,9 +57,8 @@ pub struct TrafficSummary {
     /// Flops per update at this `k` (not linear in `k`: the tree
     /// reduction contributes `Σ ⌊k/2^i⌋`).
     pub flops: u64,
-    /// Element loads the *source* executes (the portable kernel reads
-    /// each row twice: dot product + update loop) — `4k` for the SGD
-    /// update.
+    /// Element loads the program executes (the lifted update reads each
+    /// row twice: dot product + update loop) — `4k` for the SGD update.
     pub element_loads: u64,
     /// Element loads that reach DRAM after register residency — `2k`.
     pub dram_element_loads: u64,

@@ -490,6 +490,16 @@ unsafe impl Send for StripedFactors {}
 impl StripedFactors {
     /// Builds striped storage from a factor matrix.
     pub fn from_matrix<E: Element>(m: &FactorMatrix<E>, shards: usize) -> Self {
+        Self::from_matrix_in(m, shards, cumf_obs::registry())
+    }
+
+    /// [`Self::from_matrix`], counting lock events in `registry` instead
+    /// of the process-global one.
+    fn from_matrix_in<E: Element>(
+        m: &FactorMatrix<E>,
+        shards: usize,
+        registry: &cumf_obs::Registry,
+    ) -> Self {
         assert!(shards > 0);
         StripedFactors {
             rows: m.rows(),
@@ -501,15 +511,15 @@ impl StripedFactors {
                 .iter()
                 .map(|e| std::cell::UnsafeCell::new(e.to_f32()))
                 .collect(),
-            obs_acquired: cumf_obs::counter(
+            obs_acquired: registry.counter(
                 "cumf_core_stripe_acquisitions_total",
                 "Row-stripe lock acquisitions in the lock-striped executor",
             ),
-            obs_contended: cumf_obs::counter(
+            obs_contended: registry.counter(
                 "cumf_core_stripe_contended_total",
                 "Row-stripe acquisitions that found the stripe already held",
             ),
-            obs_poisoned: cumf_obs::counter(
+            obs_poisoned: registry.counter(
                 "cumf_core_stripe_poisoned_total",
                 "Row-stripe acquisitions that found the stripe poisoned by a panicked writer",
             ),
@@ -867,20 +877,13 @@ mod striped_tests {
 
     #[test]
     fn poisoned_stripe_counts_distinctly_and_acquisition_counts_after_hold() {
-        cumf_obs::set_enabled(true);
-        let acquired = cumf_obs::counter(
-            "cumf_core_stripe_acquisitions_total",
-            "Row-stripe lock acquisitions in the lock-striped executor",
-        );
-        let poisoned = cumf_obs::counter(
-            "cumf_core_stripe_poisoned_total",
-            "Row-stripe acquisitions that found the stripe poisoned by a panicked writer",
-        );
+        // A registry of its own: tests running in parallel bump the
+        // process-global counters (or switch them off).
+        let registry = cumf_obs::Registry::new();
+        registry.set_enabled(true);
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let m: FactorMatrix<f32> = FactorMatrix::random_init(4, 2, &mut rng);
-        let s = StripedFactors::from_matrix(&m, 1);
-        let acquired_0 = acquired.get();
-        let poisoned_0 = poisoned.get();
+        let s = StripedFactors::from_matrix_in(&m, 1, &registry);
         // A writer panicking under the stripe poisons it (one successful
         // acquisition).
         let join = std::thread::scope(|scope| {
@@ -897,9 +900,9 @@ mod striped_tests {
         }));
         let err = *attempt.unwrap_err().downcast::<String>().unwrap();
         assert!(err.contains("poisoned"), "{err}");
-        assert_eq!(poisoned.get() - poisoned_0, 1);
+        assert_eq!(s.obs_poisoned.get(), 1);
         assert_eq!(
-            acquired.get() - acquired_0,
+            s.obs_acquired.get(),
             1,
             "only the writer's successful acquisition may be counted"
         );

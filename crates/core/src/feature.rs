@@ -2,12 +2,10 @@
 //!
 //! Row-major storage so one SGD update touches two contiguous k-element
 //! rows — the access the CUDA kernel coalesces across its 32 threads (§4).
-//! Storage is generic over the element type: `f32`, or [`F16`] for the
-//! paper's half-precision mode.
+//! Storage is generic over the element type: `f32`, or
+//! [`F16`](crate::half::F16) for the paper's half-precision mode.
 
 use cumf_rng::Rng;
-
-use crate::half::F16;
 
 /// A storage element of a factor matrix: converts to/from f32 compute form.
 pub trait Element: Copy + Send + Sync + Default + 'static {
@@ -20,6 +18,30 @@ pub trait Element: Copy + Send + Sync + Default + 'static {
     fn from_f32(x: f32) -> Self;
     /// Widening load.
     fn to_f32(self) -> f32;
+    /// Widens a row: `dst[i] = src[i].to_f32()`. Overrides (bulk hardware
+    /// conversions) must give the same bits for every input.
+    #[inline]
+    fn widen_row(src: &[Self], dst: &mut [f32]) {
+        assert_eq!(src.len(), dst.len(), "row length mismatch");
+        for (d, s) in dst.iter_mut().zip(src) {
+            *d = s.to_f32();
+        }
+    }
+    /// Narrows a row: `dst[i] = Self::from_f32(src[i])`, with the same
+    /// bit-identity rule for overrides as [`Element::widen_row`].
+    #[inline]
+    fn narrow_row(src: &[f32], dst: &mut [Self]) {
+        assert_eq!(src.len(), dst.len(), "row length mismatch");
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d = Self::from_f32(s);
+        }
+    }
+    /// The row itself as f32, when the element type is f32: kernels then
+    /// work in place instead of staging a widened copy.
+    #[inline]
+    fn as_f32_mut(_row: &mut [Self]) -> Option<&mut [f32]> {
+        None
+    }
 }
 
 impl Element for f32 {
@@ -33,18 +55,9 @@ impl Element for f32 {
     fn to_f32(self) -> f32 {
         self
     }
-}
-
-impl Element for F16 {
-    const BYTES: usize = 2;
-    const NAME: &'static str = "f16";
-    #[inline(always)]
-    fn from_f32(x: f32) -> Self {
-        F16::from_f32(x)
-    }
-    #[inline(always)]
-    fn to_f32(self) -> f32 {
-        self.to_f32()
+    #[inline]
+    fn as_f32_mut(row: &mut [Self]) -> Option<&mut [f32]> {
+        Some(row)
     }
 }
 
@@ -74,8 +87,14 @@ impl<E: Element> FactorMatrix<E> {
     pub fn random_init<R: Rng>(rows: u32, k: u32, rng: &mut R) -> Self {
         let mut m = Self::zeros(rows, k);
         let scale = (1.0 / k as f32).sqrt();
-        for e in &mut m.data {
-            *e = E::from_f32(rng.gen_range(0.0..scale));
+        // Draw a row, then narrow it in one call: the same draws in the
+        // same order as element by element.
+        let mut draws = vec![0.0f32; k as usize];
+        for row in m.data.chunks_exact_mut(k as usize) {
+            for d in &mut draws {
+                *d = rng.gen_range(0.0..scale);
+            }
+            E::narrow_row(&draws, row);
         }
         m
     }
@@ -109,19 +128,13 @@ impl<E: Element> FactorMatrix<E> {
     /// Loads row `r` widened to f32 into `out` (length k).
     #[inline]
     pub fn load_row(&self, r: u32, out: &mut [f32]) {
-        debug_assert_eq!(out.len(), self.k as usize);
-        for (o, e) in out.iter_mut().zip(self.row(r)) {
-            *o = e.to_f32();
-        }
+        E::widen_row(self.row(r), out);
     }
 
     /// Stores `vals` (length k) narrowed into row `r`.
     #[inline]
     pub fn store_row(&mut self, r: u32, vals: &[f32]) {
-        debug_assert_eq!(vals.len(), self.k as usize);
-        for (e, &v) in self.row_mut(r).iter_mut().zip(vals) {
-            *e = E::from_f32(v);
-        }
+        E::narrow_row(vals, self.row_mut(r));
     }
 
     /// Raw element slice (row-major).
@@ -142,11 +155,9 @@ impl<E: Element> FactorMatrix<E> {
     /// Builds a matrix from an f32 slice (narrowing into E).
     pub fn from_f32_slice(rows: u32, k: u32, vals: &[f32]) -> Self {
         assert_eq!(vals.len(), rows as usize * k as usize, "shape mismatch");
-        FactorMatrix {
-            rows,
-            k,
-            data: vals.iter().map(|&v| E::from_f32(v)).collect(),
-        }
+        let mut data = vec![E::default(); vals.len()];
+        E::narrow_row(vals, &mut data);
+        FactorMatrix { rows, k, data }
     }
 
     /// Number of non-finite (NaN/Inf) entries in the matrix. Zero on a
@@ -197,6 +208,7 @@ impl<E: Element> FactorMatrix<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::half::F16;
     use cumf_rng::ChaCha8Rng;
     use cumf_rng::SeedableRng;
 
@@ -220,6 +232,20 @@ mod tests {
         // Mean should approach scale/2.
         let mean: f32 = m.as_slice().iter().sum::<f32>() / 1600.0;
         assert!((mean - scale / 2.0).abs() < 0.01);
+    }
+
+    #[test]
+    fn random_init_narrows_the_same_draws_in_the_same_order() {
+        for k in [1u32, 13, 128] {
+            let m: FactorMatrix<F16> =
+                FactorMatrix::random_init(37, k, &mut ChaCha8Rng::seed_from_u64(k as u64));
+            let mut rng = ChaCha8Rng::seed_from_u64(k as u64);
+            let scale = (1.0 / k as f32).sqrt();
+            for (i, e) in m.as_slice().iter().enumerate() {
+                let want = F16::from_f32(rng.gen_range(0.0..scale));
+                assert_eq!(e.to_bits(), want.to_bits(), "k={k} element {i}");
+            }
+        }
     }
 
     #[test]

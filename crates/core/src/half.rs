@@ -9,10 +9,23 @@
 //! Only storage conversions are needed — all arithmetic happens in f32,
 //! exactly as in the CUDA kernel (loads widen to f32 registers, stores
 //! narrow back).
+//!
+//! Whole rows convert through [`Element::widen_row`] /
+//! [`Element::narrow_row`]. On x86-64 hosts with F16C those run the
+//! hardware `vcvtph2ps` / `vcvtps2ph` instructions, 8 lanes at a time,
+//! selected by a runtime CPU check; elsewhere they run the software
+//! conversions above. Both paths give the same bits for every input: the
+//! hardware quiets signalling NaNs on widening and keeps NaN payloads on
+//! narrowing, where [`F16::to_f32`] keeps the quiet bit as stored and
+//! [`F16::from_f32`] narrows every NaN to `sign | 0x7E00`, so any 8-lane
+//! group holding a NaN is redone in software.
+
+use crate::feature::Element;
 
 /// An IEEE 754 binary16 value: 1 sign bit, 5 exponent bits, 10 mantissa
 /// bits. Range ±65504, ~3 decimal digits of precision.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[repr(transparent)]
 pub struct F16(u16);
 
 impl F16 {
@@ -146,6 +159,116 @@ impl From<F16> for f32 {
     }
 }
 
+impl Element for F16 {
+    const BYTES: usize = 2;
+    const NAME: &'static str = "f16";
+    #[inline(always)]
+    fn from_f32(x: f32) -> Self {
+        F16::from_f32(x)
+    }
+    #[inline(always)]
+    fn to_f32(self) -> f32 {
+        self.to_f32()
+    }
+    #[inline]
+    fn widen_row(src: &[Self], dst: &mut [f32]) {
+        #[cfg(target_arch = "x86_64")]
+        if f16c::detected() {
+            // SAFETY: `detected` just confirmed AVX and F16C on this CPU.
+            return unsafe { f16c::widen(src, dst) };
+        }
+        widen_soft(src, dst)
+    }
+    #[inline]
+    fn narrow_row(src: &[f32], dst: &mut [Self]) {
+        #[cfg(target_arch = "x86_64")]
+        if f16c::detected() {
+            // SAFETY: `detected` just confirmed AVX and F16C on this CPU.
+            return unsafe { f16c::narrow(src, dst) };
+        }
+        narrow_soft(src, dst)
+    }
+}
+
+/// The software row widening: [`F16::to_f32`] per element.
+fn widen_soft(src: &[F16], dst: &mut [f32]) {
+    assert_eq!(src.len(), dst.len(), "row length mismatch");
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d = s.to_f32();
+    }
+}
+
+/// The software row narrowing: [`F16::from_f32`] per element.
+fn narrow_soft(src: &[f32], dst: &mut [F16]) {
+    assert_eq!(src.len(), dst.len(), "row length mismatch");
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d = F16::from_f32(s);
+    }
+}
+
+/// Row conversions with the x86-64 F16C instructions, 8 lanes per step.
+#[cfg(target_arch = "x86_64")]
+mod f16c {
+    use std::arch::x86_64::*;
+
+    use super::{narrow_soft, widen_soft, F16};
+
+    /// True when this CPU can run [`widen`] and [`narrow`].
+    #[inline]
+    pub(super) fn detected() -> bool {
+        is_x86_feature_detected!("f16c") && is_x86_feature_detected!("avx")
+    }
+
+    /// [`super::widen_soft`] in hardware, bit for bit.
+    ///
+    /// # Safety
+    /// The CPU must support AVX and F16C ([`detected`]).
+    #[target_feature(enable = "avx,f16c")]
+    pub(super) unsafe fn widen(src: &[F16], dst: &mut [f32]) {
+        assert_eq!(src.len(), dst.len(), "row length mismatch");
+        let body = src.len() - src.len() % 8;
+        for i in (0..body).step_by(8) {
+            // SAFETY: `i + 8 <= len` for both slices, the loads and
+            // stores are the unaligned forms, and `F16` is a
+            // `repr(transparent)` `u16`, so 8 of them are one `__m128i`.
+            let nan = unsafe {
+                let wide = _mm256_cvtph_ps(_mm_loadu_si128(src.as_ptr().add(i).cast()));
+                _mm256_storeu_ps(dst.as_mut_ptr().add(i), wide);
+                _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_UNORD_Q>(wide, wide))
+            };
+            if nan != 0 {
+                // The hardware sets the quiet bit of signalling NaNs.
+                widen_soft(&src[i..i + 8], &mut dst[i..i + 8]);
+            }
+        }
+        widen_soft(&src[body..], &mut dst[body..]);
+    }
+
+    /// [`super::narrow_soft`] in hardware, bit for bit.
+    ///
+    /// # Safety
+    /// The CPU must support AVX and F16C ([`detected`]).
+    #[target_feature(enable = "avx,f16c")]
+    pub(super) unsafe fn narrow(src: &[f32], dst: &mut [F16]) {
+        assert_eq!(src.len(), dst.len(), "row length mismatch");
+        let body = src.len() - src.len() % 8;
+        for i in (0..body).step_by(8) {
+            // SAFETY: as in `widen`, with the roles of the slices swapped.
+            let nan = unsafe {
+                let wide = _mm256_loadu_ps(src.as_ptr().add(i));
+                let half = _mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(wide);
+                _mm_storeu_si128(dst.as_mut_ptr().add(i).cast(), half);
+                _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_UNORD_Q>(wide, wide))
+            };
+            if nan != 0 {
+                // The hardware keeps NaN payloads; `from_f32` does not.
+                narrow_soft(&src[i..i + 8], &mut dst[i..i + 8]);
+            }
+        }
+        narrow_soft(&src[body..], &mut dst[body..]);
+    }
+}
+
 impl std::fmt::Display for F16 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}", self.to_f32())
@@ -174,6 +297,150 @@ pub const F16_MIN_POSITIVE_SUBNORMAL_F32: f32 = 5.960_464_5e-8;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Widens with the F16C body, or prints a note and returns false on a
+    /// host without F16C, so a skipped hardware check is never silent.
+    fn hw_widen(src: &[F16], dst: &mut [f32]) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if f16c::detected() {
+            // SAFETY: `detected` just confirmed AVX and F16C on this CPU.
+            unsafe { f16c::widen(src, dst) };
+            return true;
+        }
+        println!("note: no F16C on this host; hardware widening not checked");
+        false
+    }
+
+    /// [`hw_widen`] for narrowing.
+    fn hw_narrow(src: &[f32], dst: &mut [F16]) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if f16c::detected() {
+            // SAFETY: `detected` just confirmed AVX and F16C on this CPU.
+            unsafe { f16c::narrow(src, dst) };
+            return true;
+        }
+        println!("note: no F16C on this host; hardware narrowing not checked");
+        false
+    }
+
+    /// Narrows `src` by software, hardware and dispatch and requires the
+    /// same bits from all three.
+    fn assert_narrow_paths_agree(src: &[f32]) {
+        let mut soft = vec![F16::ZERO; src.len()];
+        let mut hard = vec![F16::ZERO; src.len()];
+        let mut dispatched = vec![F16::ZERO; src.len()];
+        narrow_soft(src, &mut soft);
+        F16::narrow_row(src, &mut dispatched);
+        let checked_hw = hw_narrow(src, &mut hard);
+        for (i, &x) in src.iter().enumerate() {
+            let want = F16::from_f32(x).to_bits();
+            assert_eq!(
+                soft[i].to_bits(),
+                want,
+                "software, input {:#010x}",
+                x.to_bits()
+            );
+            assert_eq!(
+                dispatched[i].to_bits(),
+                want,
+                "dispatch, input {:#010x}",
+                x.to_bits()
+            );
+            if checked_hw {
+                assert_eq!(hard[i].to_bits(), want, "F16C, input {:#010x}", x.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn every_half_widens_identically_on_every_path() {
+        // Includes every NaN payload, signalling ones too: `to_f32`
+        // keeps the quiet bit as stored.
+        let src: Vec<F16> = (0..=0xFFFFu16).map(F16::from_bits).collect();
+        let mut soft = vec![0.0f32; src.len()];
+        let mut hard = vec![0.0f32; src.len()];
+        let mut dispatched = vec![0.0f32; src.len()];
+        widen_soft(&src, &mut soft);
+        F16::widen_row(&src, &mut dispatched);
+        // An odd length runs the scalar tail as well as the 8-lane body.
+        let checked_hw = hw_widen(&src[1..], &mut hard[1..]) && hw_widen(&src[..1], &mut hard[..1]);
+        for (i, h) in src.iter().enumerate() {
+            let want = h.to_f32().to_bits();
+            assert_eq!(soft[i].to_bits(), want, "software, half {i:#06x}");
+            assert_eq!(dispatched[i].to_bits(), want, "dispatch, half {i:#06x}");
+            if checked_hw {
+                assert_eq!(hard[i].to_bits(), want, "F16C, half {i:#06x}");
+            }
+        }
+    }
+
+    #[test]
+    fn edges_and_every_rounding_tie_narrow_identically_on_every_path() {
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            65504.0,
+            65519.0,
+            65520.0,
+            -65520.0,
+            f32::MAX,
+            f32::MIN_POSITIVE,
+            f32::from_bits(1),
+        ];
+        // The overflow edge (65520 ties to ∞) and the 2⁻²⁵ subnormal edge
+        // (exactly 2⁻²⁵ ties to 0, anything above rounds up to 2⁻²⁴),
+        // each with its f32 neighbours, both signs.
+        for edge in [65520.0f32, 2.0f32.powi(-25), 2.0f32.powi(-24)] {
+            for x in [
+                edge,
+                f32::from_bits(edge.to_bits() - 1),
+                f32::from_bits(edge.to_bits() + 1),
+            ] {
+                cases.extend([x, -x]);
+            }
+        }
+        // NaN payloads, quiet and signalling, both signs.
+        for payload in [
+            1u32, 0x1FFF, 0x2000, 0x20_0000, 0x3F_FFFF, 0x40_0000, 0x7F_FFFF,
+        ] {
+            cases.extend([
+                f32::from_bits(0x7F80_0000 | payload),
+                f32::from_bits(0xFF80_0000 | payload),
+            ]);
+        }
+        // Every tie: the midpoint between each pair of neighbouring
+        // finite halves (subnormals included, exact in f32), and the f32
+        // values either side of it.
+        for sign in [0u16, 0x8000] {
+            for bits in 0..0x7BFFu16 {
+                let lo = F16::from_bits(sign | bits).to_f32();
+                let hi = F16::from_bits(sign | (bits + 1)).to_f32();
+                let mid = (lo + hi) / 2.0;
+                assert_eq!(f64::from(mid), (f64::from(lo) + f64::from(hi)) / 2.0);
+                let b = mid.to_bits();
+                cases.extend([mid, f32::from_bits(b - 1), f32::from_bits(b + 1)]);
+            }
+        }
+        assert_narrow_paths_agree(&cases);
+    }
+
+    #[test]
+    fn strided_f32_sweep_narrows_identically_on_every_path() {
+        // Every 251st bit pattern of the 32-bit space: 17.1M inputs over
+        // every exponent, NaNs mixed into the same 8-lane groups as
+        // finite values. Chunks of 4099 also exercise the scalar tail.
+        let mut chunk = Vec::with_capacity(4099);
+        for bits in (0..=u32::MAX).step_by(251) {
+            chunk.push(f32::from_bits(bits));
+            if chunk.len() == chunk.capacity() {
+                assert_narrow_paths_agree(&chunk);
+                chunk.clear();
+            }
+        }
+        assert_narrow_paths_agree(&chunk);
+    }
 
     #[test]
     fn exact_small_integers_round_trip() {

@@ -12,6 +12,13 @@
 //! variant mirroring the CUDA kernel's structure (each of the 32 lanes owns
 //! `k/32` strided elements and the compiler is free to vectorise — the ILP
 //! technique of §4). Tests pin them to agree bit-for-bit-ish.
+//!
+//! [`sgd_update`] updates f32 rows in place. Other storage types are
+//! staged the way the CUDA kernel stages rows in registers: both rows are
+//! widened once into f32 stack buffers ([`Element::widen_row`]), updated
+//! with the same f32 arithmetic, and narrowed once on store
+//! ([`Element::narrow_row`]). Staging changes no result bit: every
+//! element is widened and narrowed exactly as the per-element loop did.
 
 use cumf_gpu_sim::{Precision, RatingAccess, SgdUpdateCost};
 
@@ -31,24 +38,26 @@ pub fn precision_of<E: Element>() -> Precision {
 /// update performs, split into what reaches DRAM and what the GPU kernel
 /// serves from registers.
 ///
-/// The portable kernel converts each of `p_u`, `q_v` **twice** per update
-/// — once in the dot product, once in the update loop — so it executes
-/// `4k` element loads. On the GPU (and in the register-residency model of
-/// the `cumf-analyze` kernel IR) the second read hits the registers that
-/// staged the row on first load (Fig 4: "both CUDA and LIBMF stage the
-/// old vectors in registers"), so only `2k` loads reach DRAM. The store
-/// side writes each row back once: `2k` stores. This struct is *measured*
-/// against the real kernel by the instrumented-element test below, and
-/// certified against [`SgdUpdateCost`] by [`CostCert::certify`].
+/// The kernel stages `p_u` and `q_v` (Fig 4: "both CUDA and LIBMF stage
+/// the old vectors in registers"): each row is widened **once** into an
+/// f32 buffer, so it executes `2k` element loads, all of which reach
+/// DRAM; the dot product and the update loop then read the buffers. The
+/// store side narrows each row back once: `2k` stores. (f32 rows are
+/// updated in place; their second read in the update loop hits the lines
+/// the dot product just loaded. Rows longer than 256 elements take the
+/// unstaged loop, which converts each element twice.) This struct is
+/// *measured* against the real kernel by the instrumented-element test
+/// below, and certified against [`SgdUpdateCost`] by
+/// [`CostCert::certify`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelTraffic {
     /// Feature dimension.
     pub k: u32,
     /// Bytes per stored element.
     pub elem_bytes: u32,
-    /// Element loads the portable kernel executes (`4k`: dot + update).
+    /// Element loads the kernel executes (`2k`: each row widened once).
     pub element_loads: u64,
-    /// Element loads that reach DRAM after register staging (`2k`).
+    /// Element loads that reach DRAM (`2k`).
     pub dram_element_loads: u64,
     /// Element stores (`2k`: both rows written back once).
     pub element_stores: u64,
@@ -63,7 +72,7 @@ impl KernelTraffic {
         KernelTraffic {
             k,
             elem_bytes: E::BYTES as u32,
-            element_loads: 4 * k64,
+            element_loads: 2 * k64,
             dram_element_loads: 2 * k64,
             element_stores: 2 * k64,
         }
@@ -268,15 +277,44 @@ pub fn dot<E: Element>(p: &[E], q: &[E]) -> f32 {
     (acc[0] + acc[2]) + (acc[1] + acc[3]) + tail
 }
 
+/// The longest row [`sgd_update`] stages through its f32 stack buffers.
+const MAX_STAGED_K: usize = 256;
+
 /// One SGD update in place. Returns the prediction error *before* the
 /// update (used for training-loss tracking).
 ///
 /// `q` is updated with the *old* `p` exactly as in Algorithm 1 (line 10
 /// uses `p_u` from before line 9's assignment — both CUDA and LIBMF stage
 /// the old vectors in registers).
+///
+/// f32 rows are updated in place. Other element types up to k = 256 are
+/// widened once into f32 buffers, updated there and narrowed once;
+/// longer rows convert per element. All three run the
+/// same arithmetic and give the same bits.
 #[inline]
 pub fn sgd_update<E: Element>(p: &mut [E], q: &mut [E], r: f32, gamma: f32, lambda: f32) -> f32 {
     debug_assert_eq!(p.len(), q.len());
+    let k = p.len();
+    if let (Some(p), Some(q)) = (E::as_f32_mut(p), E::as_f32_mut(q)) {
+        return update_rows(p, q, r, gamma, lambda);
+    }
+    if k > MAX_STAGED_K {
+        return update_rows(p, q, r, gamma, lambda);
+    }
+    let (mut p_buf, mut q_buf) = ([0.0f32; MAX_STAGED_K], [0.0f32; MAX_STAGED_K]);
+    let (ps, qs) = (&mut p_buf[..k], &mut q_buf[..k]);
+    E::widen_row(p, ps);
+    E::widen_row(q, qs);
+    let err = update_rows(ps, qs, r, gamma, lambda);
+    E::narrow_row(ps, p);
+    E::narrow_row(qs, q);
+    err
+}
+
+/// The body of [`sgd_update`]: the 4-accumulator dot product, then both
+/// rows updated element by element, converting on every access.
+#[inline(always)]
+fn update_rows<E: Element>(p: &mut [E], q: &mut [E], r: f32, gamma: f32, lambda: f32) -> f32 {
     let err = r - dot(p, q);
     for i in 0..p.len() {
         let pi = p[i].to_f32();
@@ -533,8 +571,37 @@ mod tests {
             let contract = KernelTraffic::of_update_kernel::<CountingElem>(k as u32);
             assert_eq!(loads, contract.element_loads, "k={k} loads");
             assert_eq!(stores, contract.element_stores, "k={k} stores");
-            // Register staging halves the loads that reach DRAM.
-            assert_eq!(contract.dram_element_loads * 2, contract.element_loads);
+            // Staging widens each row once: every load reaches DRAM.
+            assert_eq!(contract.element_loads, 2 * k as u64);
+            assert_eq!(contract.dram_element_loads, contract.element_loads);
+        }
+    }
+
+    #[test]
+    fn staged_f16_update_is_bit_identical_to_the_per_element_loop() {
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        for k in [1usize, 7, 8, 9, 31, 64, 128, 129, MAX_STAGED_K + 1] {
+            // Ordinary rows, then rows big enough that repeated updates
+            // overflow to ∞ and then NaN, so those lanes are checked too.
+            for magnitude in [1.0f32, 30_000.0] {
+                let init = |rng: &mut ChaCha8Rng| -> Vec<F16> {
+                    (0..k)
+                        .map(|_| F16::from_f32(magnitude * rng.gen_range(-1.0f32..1.0)))
+                        .collect()
+                };
+                let (mut p1, mut q1) = (init(&mut rng), init(&mut rng));
+                let (mut p2, mut q2) = (p1.clone(), q1.clone());
+                for step in 0..20 {
+                    let r = rng.gen_range(1.0f32..5.0);
+                    let gamma = 0.01 * (1 + step % 5) as f32;
+                    let e1 = sgd_update(&mut p1[..], &mut q1[..], r, gamma, 0.05);
+                    let e2 = update_rows(&mut p2[..], &mut q2[..], r, gamma, 0.05);
+                    assert_eq!(e1.to_bits(), e2.to_bits(), "k={k} step {step}: error");
+                    let bits = |v: &[F16]| v.iter().map(|h| h.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&p1), bits(&p2), "k={k} step {step}: p row");
+                    assert_eq!(bits(&q1), bits(&q2), "k={k} step {step}: q row");
+                }
+            }
         }
     }
 
