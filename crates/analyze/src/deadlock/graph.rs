@@ -29,7 +29,7 @@
 use super::{ClassSpec, Protocol, SiteSpec};
 use crate::mc::{check, Model, ViolationKind};
 use crate::MC_STATE_BUDGET;
-use cumf_core::faults::fnv1a64;
+use cumf_core::fnv::fnv1a64;
 
 /// Most virtual threads a cross-validation run spawns (each path is
 /// duplicated so two threads contend on the same acquisition sequence;

@@ -26,7 +26,7 @@
 
 use super::{Protocol, WatchdogSpec};
 use crate::deadlock::graph::DeadlockCert;
-use cumf_core::faults::fnv1a64;
+use cumf_core::fnv::fnv1a64;
 
 /// Outcome of the liveness pass on one (order-certified) protocol.
 #[derive(Debug, Clone)]

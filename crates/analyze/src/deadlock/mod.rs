@@ -122,13 +122,6 @@ pub struct Protocol {
     pub retry: Option<RetrySpec>,
 }
 
-impl Protocol {
-    /// The class name for index `c` (for report lines and witnesses).
-    pub fn class_name(&self, c: usize) -> &str {
-        &self.classes[c].name
-    }
-}
-
 /// What the two passes concluded about one protocol.
 #[derive(Debug, Clone)]
 pub enum ProtocolOutcome {

@@ -14,8 +14,8 @@
 //! [`EpochPipeline::run`] drives an [`EpochBackend`] (stream-fed
 //! single-device, or §6's partitioned multi-GPU) for up to `epochs`
 //! epochs: learning rate → backend → time domain → RMSE eval → trace
-//! point → observers. `solver::train`, `multi_gpu::train_partitioned`,
-//! `bias::train_biased`, and the `cumf-baselines` solvers are all thin
+//! point → observers. `solver::train`, `multi_gpu::train_partitioned`
+//! (biased or not), and the `cumf-baselines` solvers are all thin
 //! clients of this one loop, so previously-impossible combinations
 //! (biased + partitioned, FP16 + threaded Hogwild!) are plain
 //! configuration.
@@ -28,7 +28,9 @@ pub mod observer;
 pub mod time;
 
 pub use backend::{EpochBackend, EpochOutcome, PartitionedBackend, StreamBackend};
-pub use checkpoint::{load_checkpoint, save_checkpoint, ResumeState};
+pub use checkpoint::{
+    load_checkpoint, load_model_file, save_checkpoint, LoadedModel, ModelIoError, ResumeState,
+};
 pub use exec::{
     engine_for, sequential_epoch, stale_additive_epoch, threaded_epoch, ExecEngine,
     SequentialEngine, StaleAdditiveEngine, ThreadedHogwildEngine,

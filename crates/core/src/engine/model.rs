@@ -202,4 +202,25 @@ mod tests {
         assert!((model.predict(0, 0) - 5.75).abs() < 1e-6);
         assert!((model.predict(1, 0) - 6.75).abs() < 1e-6);
     }
+
+    #[test]
+    #[should_panic(expected = "share the feature dimension")]
+    fn mismatched_k_rejected() {
+        let mut rng = ChaCha8Rng::seed_from_u64(2);
+        let _ = EngineModel::unbiased(
+            FactorMatrix::<f32>::random_init(3, 4, &mut rng),
+            FactorMatrix::<f32>::random_init(3, 5, &mut rng),
+        );
+    }
+
+    #[test]
+    fn rmse_of_empty_test_is_zero() {
+        let data = tiny();
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let empty = CooMatrix::new(data.rows(), data.cols());
+        let biased = EngineModel::<f32>::init_biased(&data, 2, &mut rng);
+        assert_eq!(biased.rmse(&empty), 0.0);
+        let plain = EngineModel::<f32>::init_unbiased(&data, 2, &mut rng);
+        assert_eq!(plain.rmse(&empty), 0.0);
+    }
 }

@@ -7,7 +7,8 @@
 //!
 //! * [`ObsProbes`] — the solver's counter/gauge/histogram surface;
 //! * [`DivergenceGuard`] — the RMSE ceiling (and non-finite) early exit;
-//! * [`Checkpointer`] — periodic checkpoint saves for `--resume`.
+//! * [`Checkpointer`] — periodic and final model-file saves (`--save`,
+//!   `--resume`).
 
 use std::path::PathBuf;
 
@@ -16,7 +17,7 @@ use crate::feature::Element;
 use crate::lrate::LrState;
 use crate::metrics::Trace;
 
-use super::checkpoint::{save_checkpoint, ResumeState};
+use super::checkpoint::{save_checkpoint, ModelIoError, ResumeState};
 use super::model::EngineModel;
 
 /// Everything an observer may inspect after one epoch.
@@ -197,37 +198,62 @@ impl<E: Element> EpochObserver<E> for DivergenceGuard {
     }
 }
 
-/// Saves a resumable checkpoint every `every` epochs. IO failures are
-/// reported to stderr and training continues — a failed checkpoint must
-/// not kill a long run.
-#[derive(Debug, Clone)]
+/// Saves the model file with its resume state every `every` epochs and
+/// after the run's last epoch. An epoch its [`DivergenceGuard`] rejects is
+/// never saved: that guard stops the run there, and the file keeps the
+/// last good model. A failed periodic save is
+/// reported to stderr and training continues — it must not kill a long
+/// run; a failed final save is kept for [`Checkpointer::take_final_error`].
+#[derive(Debug)]
 pub struct Checkpointer {
     path: PathBuf,
     every: u32,
+    epochs: u32,
+    guard: DivergenceGuard,
+    final_error: Option<ModelIoError>,
 }
 
 impl Checkpointer {
-    /// Checkpoints to `path` after every `every`-th epoch (`every` is
-    /// clamped to at least 1).
-    pub fn new(path: impl Into<PathBuf>, every: u32) -> Self {
+    /// Saves to `path` after every `every`-th epoch (`every` is clamped
+    /// to at least 1) and after epoch `epochs`, the run's last, skipping
+    /// epochs that `guard` (the run's own divergence guard) rejects.
+    pub fn new(path: impl Into<PathBuf>, every: u32, epochs: u32, guard: DivergenceGuard) -> Self {
         Checkpointer {
             path: path.into(),
             every: every.max(1),
+            epochs,
+            guard,
+            final_error: None,
         }
+    }
+
+    /// The error of the save after the last epoch, if that save failed.
+    pub fn take_final_error(&mut self) -> Option<ModelIoError> {
+        self.final_error.take()
     }
 }
 
 impl<E: Element> EpochObserver<E> for Checkpointer {
     fn on_epoch_end(&mut self, ctx: &EpochCtx<'_>, model: &EngineModel<E>) -> PipelineControl {
-        if (ctx.epoch + 1).is_multiple_of(self.every) {
-            let state = ResumeState {
-                next_epoch: ctx.epoch + 1,
-                updates: ctx.total_updates,
-                sim_seconds: ctx.total_sim_seconds,
-                trace: ctx.trace.clone(),
-                lr: Some(ctx.lr),
-            };
-            if let Err(e) = save_checkpoint(&self.path, model, &state) {
+        let done = ctx.epoch + 1;
+        let last = done == self.epochs;
+        if !(last || done.is_multiple_of(self.every)) {
+            return PipelineControl::Continue;
+        }
+        if let PipelineControl::Stop { .. } = self.guard.on_epoch_end(ctx, model) {
+            return PipelineControl::Continue;
+        }
+        let state = ResumeState {
+            next_epoch: done,
+            updates: ctx.total_updates,
+            sim_seconds: ctx.total_sim_seconds,
+            trace: ctx.trace.clone(),
+            lr: Some(ctx.lr),
+        };
+        if let Err(e) = save_checkpoint(&self.path, model, &state) {
+            if last {
+                self.final_error = Some(e);
+            } else {
                 eprintln!("warning: checkpoint to {} failed: {e}", self.path.display());
             }
         }

@@ -22,7 +22,8 @@ use crate::multi_gpu::MultiGpuConfig;
 
 use super::retry::RetryPolicy;
 use super::supervisor::{SupervisorConfig, TrainError, TrainSupervisor};
-use super::{fnv1a64, FaultKind, FaultPlan};
+use super::{FaultKind, FaultPlan};
+use crate::fnv::fnv1a64;
 
 /// Options of a chaos run.
 #[derive(Debug, Clone, Copy)]

@@ -44,11 +44,10 @@ use cumf_rng::{ChaCha8Rng, SeedableRng};
 
 use crate::engine::{
     BackendTime, DivergenceGuard, EngineModel, EpochCtx, EpochObserver, EpochPipeline,
-    PartitionedBackend, PipelineControl, ResumeState,
+    ModelIoError, PartitionedBackend, PipelineControl, ResumeState,
 };
 use crate::feature::{Element, FactorMatrix};
 use crate::metrics::Trace;
-use crate::model_io::ModelIoError;
 use crate::multi_gpu::{EpochTiming, MultiGpuConfig};
 use crate::partition::Grid;
 use crate::solver::{train_resumable, CheckpointSpec, Scheme, SolverConfig, TrainResult};

@@ -7,6 +7,8 @@
 
 use cumf_rng::Rng;
 
+use crate::fnv::{fnv1a_extend, FNV_OFFSET};
+
 /// A storage element of a factor matrix: converts to/from f32 compute form.
 pub trait Element: Copy + Send + Sync + Default + 'static {
     /// Bytes per stored element (2 for f16, 4 for f32) — what the
@@ -147,11 +149,6 @@ impl<E: Element> FactorMatrix<E> {
         self.data.len() * E::BYTES
     }
 
-    /// Converts the full matrix to f32 (for evaluation / export).
-    pub fn to_f32_vec(&self) -> Vec<f32> {
-        self.data.iter().map(|e| e.to_f32()).collect()
-    }
-
     /// Builds a matrix from an f32 slice (narrowing into E).
     pub fn from_f32_slice(rows: u32, k: u32, vals: &[f32]) -> Self {
         assert_eq!(vals.len(), rows as usize * k as usize, "shape mismatch");
@@ -172,14 +169,9 @@ impl<E: Element> FactorMatrix<E> {
     /// before a (simulated) transfer and verified after, so corruption on
     /// the link is detected rather than silently trained on.
     pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for e in &self.data {
-            for b in e.to_f32().to_bits().to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
+        self.data.iter().fold(FNV_OFFSET, |h, e| {
+            fnv1a_extend(h, &e.to_f32().to_bits().to_le_bytes())
+        })
     }
 
     /// Copies rows `range` out as a new matrix (a P/Q *segment* for the

@@ -23,6 +23,7 @@
 use cumf_gpu_sim::{Precision, RatingAccess, SgdUpdateCost};
 
 use crate::feature::Element;
+use crate::fnv::{fnv1a_extend, FNV_OFFSET};
 
 /// The storage precision a factor [`Element`] type corresponds to in the
 /// §2.3 cost model.
@@ -184,13 +185,8 @@ impl CostCert {
             }
         };
         let time_model_drift = time_model.map(|tm| tm.bytes() as i64 - kernel_bytes as i64);
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut h = FNV_OFFSET;
+        let mut mix = |v: u64| h = fnv1a_extend(h, &v.to_le_bytes());
         mix(k as u64);
         mix(E::BYTES as u64);
         mix(kernel_bytes);

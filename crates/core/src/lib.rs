@@ -17,7 +17,8 @@
 //!   Hogwild! conflict engine (stale reads, additive commits) and a real
 //!   OS-thread lock-free executor;
 //! * [`engine`] — the layered epoch pipeline (model / execution / time /
-//!   observers) that every training path in the workspace runs through;
+//!   observers) that every training path in the workspace runs through,
+//!   and the one model file format (`engine::checkpoint`);
 //! * [`solver`] — the single-GPU training loop producing convergence
 //!   traces;
 //! * [`stale`] — the bounded-staleness certifier: every lock-free update
@@ -49,16 +50,15 @@
 
 #![warn(missing_docs)]
 
-pub mod bias;
 pub mod concurrent;
 pub mod engine;
 pub mod faults;
 pub mod feature;
+pub mod fnv;
 pub mod half;
 pub mod kernel;
 pub mod lrate;
 pub mod metrics;
-pub mod model_io;
 pub mod multi_gpu;
 pub mod partition;
 #[cfg(feature = "sanitize")]
@@ -67,7 +67,6 @@ pub mod sched;
 pub mod solver;
 pub mod stale;
 
-pub use bias::{train_biased, BiasedConfig, BiasedModel, BiasedResult};
 pub use concurrent::{
     AtomicFactors, EpochStats, ExecMode, ExecParams, StripedFactors, DEFAULT_THREAD_BATCH,
 };
@@ -84,7 +83,6 @@ pub use half::F16;
 pub use kernel::{precision_of, CostCert, CostCertStatus, KernelTraffic};
 pub use lrate::{LearningRate, LrState, Schedule};
 pub use metrics::{rmse, updates_per_sec, Trace, TracePoint};
-pub use model_io::{load_model, load_model_file, save_model, save_model_file, Model};
 pub use multi_gpu::{train_partitioned, MultiGpuConfig, MultiGpuResult};
 pub use partition::{
     count_feasible_orders, schedule_epoch, segment_of, segment_range, BlockId, Grid, WaveSchedule,

@@ -27,6 +27,7 @@
 use cumf_data::CooMatrix;
 
 use crate::concurrent::ExecMode;
+use crate::fnv::{fnv1a_extend, FNV_OFFSET};
 
 use super::{StreamItem, UpdateStream};
 
@@ -172,18 +173,6 @@ impl Verdict {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-#[inline]
-fn fnv1a(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// Drives `stream` for `epochs` epochs against `data`'s row/column access
 /// sets and proves conflict-freedom or produces a witness.
 ///
@@ -279,10 +268,9 @@ pub fn certify<S: UpdateStream + ?Sized>(
                         col_claims.push((e.v, w, i));
                         cert.samples += 1;
                         let mut h = cert.schedule_digest;
-                        h = fnv1a(h, u64::from(epoch));
-                        h = fnv1a(h, round);
-                        h = fnv1a(h, w as u64);
-                        h = fnv1a(h, i as u64);
+                        for v in [u64::from(epoch), round, w as u64, i as u64] {
+                            h = fnv1a_extend(h, &v.to_le_bytes());
+                        }
                         cert.schedule_digest = h;
                     }
                     StreamItem::Stall => {}

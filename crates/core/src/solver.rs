@@ -19,13 +19,12 @@ use cumf_data::CooMatrix;
 use crate::concurrent::{EpochStats, ExecMode};
 use crate::engine::{
     engine_for, load_checkpoint, Checkpointer, DivergenceGuard, EngineModel, EpochObserver,
-    EpochPipeline, ModelTime, NoSimTime, ObsProbes, StreamBackend, TimeDomain,
+    EpochPipeline, ModelIoError, ModelTime, NoSimTime, ObsProbes, StreamBackend, TimeDomain,
 };
 use crate::feature::{Element, FactorMatrix};
 use crate::kernel::CostCert;
 use crate::lrate::Schedule;
 use crate::metrics::Trace;
-use crate::model_io::ModelIoError;
 use crate::stale::StaleVerdict;
 
 use crate::sched::{
@@ -250,10 +249,12 @@ pub fn train<E: Element>(
 }
 
 /// [`train`], with optional checkpoint/resume. With `Some(spec)`, a
-/// checkpoint is written every `spec.every` epochs; with `spec.resume`
-/// set and an existing checkpoint at `spec.path`, the run continues where
-/// it stopped — deterministic streams and the checkpointed LR state make
-/// the result bit-identical to an uninterrupted run.
+/// checkpoint is written every `spec.every` epochs and after the last
+/// one (a failed final write is this function's `Err`); with
+/// `spec.resume` set and an existing checkpoint at `spec.path`, the run
+/// continues where it stopped — deterministic streams and the
+/// checkpointed LR state make the result bit-identical to an
+/// uninterrupted run.
 pub fn train_resumable<E: Element>(
     train: &CooMatrix,
     test: &CooMatrix,
@@ -348,7 +349,8 @@ pub fn train_resumable<E: Element>(
 
     let mut probes = ObsProbes::new();
     let mut guard = DivergenceGuard::new(config.divergence_ceiling);
-    let mut checkpointer = checkpoint.map(|spec| Checkpointer::new(&spec.path, spec.every));
+    let mut checkpointer =
+        checkpoint.map(|spec| Checkpointer::new(&spec.path, spec.every, config.epochs, guard));
     let mut observers: Vec<&mut dyn EpochObserver<E>> = vec![&mut probes, &mut guard];
     if let Some(ckpt) = checkpointer.as_mut() {
         observers.push(ckpt);
@@ -368,6 +370,12 @@ pub fn train_resumable<E: Element>(
         test,
         resume_state,
     );
+    if let Some(e) = checkpointer
+        .as_mut()
+        .and_then(Checkpointer::take_final_error)
+    {
+        return Err(e);
+    }
 
     Ok(TrainResult {
         p: model.p,

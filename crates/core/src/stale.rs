@@ -35,6 +35,7 @@
 //! what `resolve_exec_mode` does for conflict refutations.
 
 use crate::concurrent::ExecMode;
+use crate::fnv::{fnv1a64, fnv1a_extend};
 use crate::lrate::{LearningRate, Schedule};
 
 /// Row-access footprint of an update path: which factor rows concurrent
@@ -280,26 +281,6 @@ impl StaleVerdict {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-#[inline]
-fn fnv1a(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn fnv1a_str(mut h: u64, s: &str) -> u64 {
-    for &b in s.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// The lr·τ safety condition value for a bounded path: `γ_max · (W−1) ·
 /// 20 / min_dim`. At γ = 1 this is exactly §7.5's `s − 1 < min(m, n) /
 /// 20` safe-worker rule ([`crate::partition::Grid::hogwild_safe_workers`]);
@@ -353,11 +334,15 @@ pub fn certify_staleness(spec: &PathSpec, schedule: &Schedule, epochs: u32) -> S
             ),
         });
     }
-    let mut h = fnv1a_str(FNV_OFFSET, spec.name);
-    h = fnv1a(h, u64::from(spec.writers));
-    h = fnv1a(h, tau);
-    h = fnv1a(h, u64::from(g.to_bits()));
-    h = fnv1a(h, u64::from(spec.min_dim));
+    let mut h = fnv1a64(spec.name.as_bytes());
+    for v in [
+        u64::from(spec.writers),
+        tau,
+        u64::from(g.to_bits()),
+        u64::from(spec.min_dim),
+    ] {
+        h = fnv1a_extend(h, &v.to_le_bytes());
+    }
     StaleVerdict::Certified(StaleCert {
         path: spec.name,
         writers: spec.writers,

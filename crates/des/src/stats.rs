@@ -1,4 +1,4 @@
-//! Simulation statistics: time-weighted averages, counters, histograms.
+//! Simulation statistics: time-weighted averages and counters.
 
 use crate::time::SimTime;
 
@@ -212,123 +212,5 @@ mod tests {
         assert_eq!(ta.sum(), 4.0);
         assert_eq!(ta.mean(), 2.0);
         assert_eq!(ta.max(), 3.0);
-    }
-}
-
-/// A fixed-bucket logarithmic histogram for latency-style observations
-/// (seconds). Buckets are powers of two from 1 ns to ~1 ks, plus
-/// underflow/overflow, which is plenty for scheduler-wait distributions.
-#[derive(Debug, Clone)]
-pub struct LogHistogram {
-    counts: Vec<u64>,
-    total: u64,
-}
-
-const HIST_BUCKETS: usize = 42; // 2^-30 s (~1 ns) .. 2^11 s, log2 steps
-const HIST_MIN_EXP: i32 = -30;
-
-impl Default for LogHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LogHistogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        LogHistogram {
-            counts: vec![0; HIST_BUCKETS + 2], // + underflow + overflow
-            total: 0,
-        }
-    }
-
-    fn bucket(seconds: f64) -> usize {
-        if seconds <= 0.0 {
-            return 0; // underflow bucket (includes exact zero)
-        }
-        let exp = seconds.log2().floor() as i32;
-        if exp < HIST_MIN_EXP {
-            0
-        } else {
-            let idx = (exp - HIST_MIN_EXP) as usize + 1;
-            idx.min(HIST_BUCKETS + 1)
-        }
-    }
-
-    /// Records one observation in seconds.
-    pub fn record(&mut self, seconds: f64) {
-        self.counts[Self::bucket(seconds)] += 1;
-        self.total += 1;
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// An upper bound on the `q`-quantile (0 < q <= 1), or 0 when empty.
-    /// Resolution is one power of two.
-    pub fn quantile_upper_bound(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        if self.total == 0 {
-            return 0.0;
-        }
-        let rank = (q * self.total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                if i == 0 {
-                    return 2.0f64.powi(HIST_MIN_EXP);
-                }
-                // Upper edge of bucket i.
-                return 2.0f64.powi(HIST_MIN_EXP + i as i32);
-            }
-        }
-        f64::INFINITY
-    }
-}
-
-#[cfg(test)]
-mod histogram_tests {
-    use super::*;
-
-    #[test]
-    fn quantiles_bound_observations() {
-        let mut h = LogHistogram::new();
-        for i in 1..=1000 {
-            h.record(i as f64 * 1e-6); // 1 us .. 1 ms
-        }
-        assert_eq!(h.count(), 1000);
-        let p50 = h.quantile_upper_bound(0.5);
-        let p99 = h.quantile_upper_bound(0.99);
-        assert!((0.5e-3 / 2.0..=2.0e-3).contains(&p50), "p50 {p50}");
-        assert!(p99 >= p50);
-        assert!(p99 <= 2.0e-3, "p99 {p99}");
-    }
-
-    #[test]
-    fn zero_and_tiny_go_to_underflow() {
-        let mut h = LogHistogram::new();
-        h.record(0.0);
-        h.record(1e-12);
-        assert_eq!(h.count(), 2);
-        let q = h.quantile_upper_bound(1.0);
-        assert!(q <= 1e-9 + 1e-15, "underflow bound {q}");
-    }
-
-    #[test]
-    fn overflow_is_captured() {
-        let mut h = LogHistogram::new();
-        h.record(1e9); // beyond the last bucket
-        assert_eq!(h.count(), 1);
-        assert!(h.quantile_upper_bound(1.0) >= 2.0f64.powi(11));
-    }
-
-    #[test]
-    fn empty_histogram() {
-        let h = LogHistogram::new();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.quantile_upper_bound(0.9), 0.0);
     }
 }

@@ -9,9 +9,9 @@
 
 use cumf_rng::ChaCha8Rng;
 use cumf_rng::SeedableRng;
-use cumf_sgd::core::model_io::{load_model, save_model, Model};
-use cumf_sgd::core::solver::{Scheme, SolverConfig};
-use cumf_sgd::core::{rmse, Schedule};
+use cumf_sgd::core::engine::load_checkpoint;
+use cumf_sgd::core::solver::{train_resumable, CheckpointSpec, Scheme, SolverConfig};
+use cumf_sgd::core::{EngineModel, Schedule};
 use cumf_sgd::data::synth::{generate, SynthConfig};
 use cumf_sgd::data::{holdout_split, CooMatrix};
 
@@ -54,21 +54,29 @@ fn main() {
         divergence_ceiling: 1e3,
     };
 
-    // --- Day 1: train on the initial data and persist the model.
-    let day1 = cumf_sgd::core::train::<f32>(&day_one, &data.test, &base_config, None);
+    // --- Day 1: train on the initial data; the model file is written
+    // after the last epoch, exactly as `cumf train --save` does.
+    let path = std::env::temp_dir().join("cumf_incremental_day1.cmfk");
+    let save = CheckpointSpec {
+        path: path.clone(),
+        every: base_config.epochs,
+        resume: false,
+    };
+    let day1 = train_resumable::<f32>(&day_one, &data.test, &base_config, None, Some(&save))
+        .expect("model file is writable");
     let day1_rmse = day1.trace.final_rmse().unwrap();
-    let mut store = Vec::new();
-    save_model(&mut store, &Model::new(day1.p, day1.q)).unwrap();
     println!(
         "day 1 model: test RMSE {day1_rmse:.4}, {} bytes persisted",
-        store.len()
+        std::fs::metadata(&path).unwrap().len()
     );
 
     // --- Day 2: load the model and continue with a few cheap epochs over
     // the *new* ratings only, at a reduced learning rate.
-    let model: Model<f32> = load_model(store.as_slice()).unwrap();
+    let (model, _) = load_checkpoint::<f32>(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    assert_eq!((&model.p, &model.q), (&day1.p, &day1.q), "lossless reload");
     let incremental = continue_training(&model, &day_two, 5, 0.03, 0.02);
-    let inc_rmse = rmse(&data.test, &incremental.p, &incremental.q);
+    let inc_rmse = incremental.rmse(&data.test);
 
     // --- The expensive alternative: full retraining on everything.
     let full = cumf_sgd::core::train::<f32>(&data.train, &data.test, &base_config, None);
@@ -97,12 +105,12 @@ fn main() {
 /// serial sweeps with a fixed small learning rate (the production pattern
 /// for streaming recommenders).
 fn continue_training(
-    model: &Model<f32>,
+    model: &EngineModel<f32>,
     new_data: &CooMatrix,
     epochs: u32,
     gamma: f32,
     lambda: f32,
-) -> Model<f32> {
+) -> EngineModel<f32> {
     use cumf_sgd::core::kernel::sgd_update;
     let mut p = model.p.clone();
     let mut q = model.q.clone();
@@ -111,5 +119,5 @@ fn continue_training(
             sgd_update(p.row_mut(e.u), q.row_mut(e.v), e.r, gamma, lambda);
         }
     }
-    Model::new(p, q)
+    EngineModel::unbiased(p, q)
 }

@@ -3,20 +3,23 @@
 //! ```text
 //! cumf generate --preset netflix --scale 0.01 --out train.bin --test-out test.bin
 //! cumf train    --data train.bin --test test.bin --k 16 --epochs 20 \
-//!               --scheme batch-hogwild --workers 16 --save model.cmfm [--f16]
-//! cumf evaluate --model model.cmfm --data test.bin
-//! cumf predict  --model model.cmfm --user 3 --item 17
+//!               --scheme batch-hogwild --workers 16 --save model.cmfk [--f16]
+//! cumf evaluate --model model.cmfk --data test.bin
+//! cumf predict  --model model.cmfk --user 3 --item 17
 //! ```
 //!
-//! Argument parsing is hand-rolled (no CLI dependency); every flag has a
-//! default so `cumf generate` / `cumf train` work out of the box.
+//! A model file is one checksummed CMFK file that also carries the
+//! run's resume state; readers take the element width (f32 or f16) from
+//! its header. Argument parsing is hand-rolled (no CLI dependency); every
+//! flag has a default so `cumf generate` / `cumf train` work out of the
+//! box.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-use cumf_sgd::core::model_io::{load_model_file, save_model_file, Model};
+use cumf_sgd::core::engine::{load_model_file, LoadedModel};
 use cumf_sgd::core::solver::{train, train_resumable, CheckpointSpec, Scheme, SolverConfig};
-use cumf_sgd::core::{rmse, Schedule, F16};
+use cumf_sgd::core::{Element, EngineModel, Schedule, F16};
 use cumf_sgd::data::io::{read_binary_file, read_text_file, write_binary_file};
 use cumf_sgd::data::{CooMatrix, DatasetSpec, HUGEWIKI, NETFLIX, YAHOO_MUSIC};
 use cumf_sgd::gpu_sim::{
@@ -24,6 +27,7 @@ use cumf_sgd::gpu_sim::{
     TITAN_X_MAXWELL, XEON_E5_2670X2,
 };
 use cumf_sgd::obs;
+use cumf_sgd::serve::ShardedModel;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -82,11 +86,11 @@ USAGE:
   cumf train    [--data train.bin] [--test test.bin] [--k 16] [--epochs 20]
                 [--lambda 0.02] [--alpha 0.1] [--beta 0.1]
                 [--scheme serial|hogwild|batch-hogwild|wavefront|libmf]
-                [--workers 16] [--batch 256] [--f16] [--save model.cmfm]
+                [--workers 16] [--batch 256] [--f16] [--save model.cmfk]
                 [--trace out.json] [--metrics out.prom]
-                [--checkpoint run.cmfk] [--checkpoint-every 1] [--resume]
-  cumf evaluate [--model model.cmfm] [--data test.bin] [--f16]
-  cumf predict  [--model model.cmfm] [--user U] [--item V] [--f16]
+                [--checkpoint-every N] [--resume]
+  cumf evaluate [--model model.cmfk] [--data test.bin]
+  cumf predict  [--model model.cmfk] [--user U] [--item V]
   cumf profile  [--preset netflix|yahoo|hugewiki] [--scale 0.002] [--k 16]
                 [--epochs 5] [--scheme batch-hogwild] [--workers 8]
                 [--trace profile_trace.json] [--metrics profile_metrics.prom]
@@ -100,7 +104,7 @@ USAGE:
                 [--sanitize] [--seed 42] [--explain CUMF-LINT-001]
   cumf chaos    [--quick] [--seed 42] [--tolerance 0.02] [--metrics out.prom]
                 [--serve]
-  cumf serve    [--model model.cmfm] [--requests 2000] [--zipf-s 1.1]
+  cumf serve    [--model model.cmfk] [--requests 2000] [--zipf-s 1.1]
                 [--deadline-ms 50] [--shards 4x2] [--seed 42]
                 [--inject none|shard-loss|shard-stall] [--no-admission]
 
@@ -110,10 +114,14 @@ chrome://tracing); --metrics writes Prometheus text exposition. Either
 flag also runs the calibrated GPU machine model after training so the
 trace spans all three layers (solver, gpu-sim, DES).
 
---checkpoint saves a resumable snapshot every --checkpoint-every epochs;
-add --resume to continue an interrupted run from that snapshot (the
-deterministic schedulers make the result identical to an uninterrupted
-run).
+--save writes the model file (factors, biases and the run's resume
+state: trace, update count, learning-rate state) after the last epoch,
+and also every --checkpoint-every epochs; --resume continues an
+interrupted run from that file (the deterministic schedulers make the
+result identical to an uninterrupted run). A diverged epoch is never
+saved, and a failed final save exits 1. --f16 trains in half
+precision; evaluate, predict and serve read the element width from the
+file (serve refuses models with bias terms).
 
 `analyze` runs the offline analyzers (exit code 1 on any failure): the
 schedule conflict prover (wavefront / LIBMF certified conflict-free,
@@ -169,7 +177,7 @@ hedging) after the training matrix; --serve runs only those.
 users, sharded factors, per-request deadlines, hedged reads, admission
 control, circuit breakers) on sim time and prints the p50/p99/p999 +
 QPS + shed/degraded summary. Without --model it serves a built-in
-synthetic model; --model loads a trained .cmfm. All latencies are
+synthetic model; --model loads a trained .cmfk. All latencies are
 simulated and bit-deterministic for a given seed. --inject adds a
 shard fault; --no-admission disables the admission controller and
 deadline finalization to demonstrate the unprotected tail.";
@@ -237,6 +245,19 @@ fn load_data(path: &str) -> Result<CooMatrix, String> {
         read_text_file(path)
     };
     loader.map_err(|e| format!("loading {path}: {e}"))
+}
+
+/// Runs `$body` with `$model` bound to the model file at `$path`, loaded
+/// at the element width its header records (`EngineModel<f32>` or
+/// `EngineModel<F16>`).
+macro_rules! with_model {
+    ($path:expr, |$model:ident| $body:expr) => {{
+        let path: &str = $path;
+        match load_model_file(path).map_err(|e| format!("loading {path}: {e}"))? {
+            (LoadedModel::F16($model), _) => $body,
+            (LoadedModel::F32($model), _) => $body,
+        }
+    }};
 }
 
 fn parse_preset(flags: &Flags) -> Result<&'static DatasetSpec, String> {
@@ -311,17 +332,21 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
         mode: None,
         divergence_ceiling: 1e3,
     };
-    let save = get(flags, "save", "model.cmfm");
-    let checkpoint = match flags.get("checkpoint") {
-        Some(path) => Some(CheckpointSpec {
-            path: std::path::PathBuf::from(path),
-            every: get_parse(flags, "checkpoint-every", 1)?,
-            resume: flags.contains_key("resume"),
-        }),
-        None if flags.contains_key("resume") => {
-            return Err("--resume requires --checkpoint <path>".into());
-        }
-        None => None,
+    if config.epochs == 0 {
+        return Err(
+            "--epochs must be positive: the model file is written after the last epoch".into(),
+        );
+    }
+    if flags.contains_key("checkpoint") {
+        return Err("--checkpoint was removed: --save PATH is the checkpoint \
+                    (with --checkpoint-every N and --resume)"
+            .into());
+    }
+    let save = get(flags, "save", "model.cmfk");
+    let checkpoint = CheckpointSpec {
+        path: std::path::PathBuf::from(save),
+        every: get_parse(flags, "checkpoint-every", config.epochs)?,
+        resume: flags.contains_key("resume"),
     };
     let trace_out = flags.get("trace").cloned();
     let metrics_out = flags.get("metrics").cloned();
@@ -338,23 +363,16 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
         config.scheme.name(),
         config.epochs
     );
-    let outcome = if flags.contains_key("f16") {
-        let result =
-            train_resumable::<F16>(&train_data, &test_data, &config, None, checkpoint.as_ref())
-                .map_err(|e| e.to_string())?;
-        report_and_save(result.trace.final_rmse(), result.diverged, save, || {
-            save_model_file(save, &Model::new(result.p.clone(), result.q.clone()))
-                .map_err(|e| e.to_string())
-        })
+    let (final_rmse, diverged) = if flags.contains_key("f16") {
+        let r = train_resumable::<F16>(&train_data, &test_data, &config, None, Some(&checkpoint))
+            .map_err(|e| format!("{save}: {e}"))?;
+        (r.trace.final_rmse(), r.diverged)
     } else {
-        let result =
-            train_resumable::<f32>(&train_data, &test_data, &config, None, checkpoint.as_ref())
-                .map_err(|e| e.to_string())?;
-        report_and_save(result.trace.final_rmse(), result.diverged, save, || {
-            save_model_file(save, &Model::new(result.p.clone(), result.q.clone()))
-                .map_err(|e| e.to_string())
-        })
+        let r = train_resumable::<f32>(&train_data, &test_data, &config, None, Some(&checkpoint))
+            .map_err(|e| format!("{save}: {e}"))?;
+        (r.trace.final_rmse(), r.diverged)
     };
+    let outcome = report_training(final_rmse, diverged, save);
     if observing {
         run_machine_model(
             config.scheme,
@@ -809,18 +827,32 @@ fn parse_shard_grid(s: &str) -> Result<(u32, u32), String> {
 /// factors, Zipf users, deadlines, hedging, admission control — run on
 /// sim time, so the whole latency table is bit-deterministic per seed.
 fn cmd_serve(flags: &Flags) -> Result<(), String> {
-    use cumf_sgd::serve::{
-        chaos::synth_model, run_closed_loop, OverloadPolicy, ServeConfig, ServeFault, ShardedModel,
-    };
+    use cumf_sgd::serve::chaos::synth_model;
     let seed: u64 = get_parse(flags, "seed", 42)?;
-    let (p_shards, q_shards) = parse_shard_grid(get(flags, "shards", "4x2"))?;
-    let model: ShardedModel<f32> = match flags.get("model") {
-        Some(path) => {
-            let m: Model<f32> = load_model_file(path).map_err(|e| e.to_string())?;
-            ShardedModel::new(m.p, m.q, p_shards, q_shards, None)
-        }
-        None => synth_model(seed, p_shards, q_shards),
-    };
+    let grid @ (p_shards, q_shards) = parse_shard_grid(get(flags, "shards", "4x2"))?;
+    match flags.get("model") {
+        Some(path) => with_model!(path, |m| {
+            if m.bias.is_some() {
+                return Err(format!(
+                    "{path}: biased models are not servable yet \
+                     (serving ranks by the factors alone and would drop the bias terms)"
+                ));
+            }
+            let model = ShardedModel::new(m.p, m.q, p_shards, q_shards, None);
+            serve_model(&model, flags, seed, grid)
+        }),
+        None => serve_model(&synth_model(seed, p_shards, q_shards), flags, seed, grid),
+    }
+}
+
+/// The body of `cumf serve` for a loaded model of either element width.
+fn serve_model<E: Element>(
+    model: &ShardedModel<E>,
+    flags: &Flags,
+    seed: u64,
+    (p_shards, q_shards): (u32, u32),
+) -> Result<(), String> {
+    use cumf_sgd::serve::{run_closed_loop, OverloadPolicy, ServeConfig, ServeFault};
     let mut cfg = ServeConfig {
         requests: get_parse(flags, "requests", 2000)?,
         zipf_s: get_parse(flags, "zipf-s", 1.1)?,
@@ -876,7 +908,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
             None => String::new(),
         }
     );
-    let report = run_closed_loop(&model, &cfg);
+    let report = run_closed_loop(model, &cfg);
     println!("{}", report.render());
     if !report.transcript.is_empty() {
         println!(
@@ -890,12 +922,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn report_and_save(
-    final_rmse: Option<f64>,
-    diverged: bool,
-    save: &str,
-    do_save: impl FnOnce() -> Result<(), String>,
-) -> Result<(), String> {
+fn report_training(final_rmse: Option<f64>, diverged: bool, save: &str) -> Result<(), String> {
     if diverged {
         return Err("training diverged (try a lower --alpha or fewer --workers)".into());
     }
@@ -903,47 +930,29 @@ fn report_and_save(
         Some(r) if r > 0.0 => println!("final test RMSE: {r:.4}"),
         _ => println!("trained (no test set provided)"),
     }
-    do_save()?;
     println!("model saved to {save}");
     Ok(())
 }
 
 fn cmd_evaluate(flags: &Flags) -> Result<(), String> {
     let data = load_data(get(flags, "data", "test.bin"))?;
-    let path = get(flags, "model", "model.cmfm");
-    let r = if flags.contains_key("f16") {
-        let model: Model<F16> = load_model_file(path).map_err(|e| e.to_string())?;
-        rmse(&data, &model.p, &model.q)
-    } else {
-        let model: Model<f32> = load_model_file(path).map_err(|e| e.to_string())?;
-        rmse(&data, &model.p, &model.q)
-    };
+    let r = with_model!(get(flags, "model", "model.cmfk"), |model| model.rmse(&data));
     println!("RMSE over {} samples: {r:.4}", data.nnz());
     Ok(())
 }
 
 fn cmd_predict(flags: &Flags) -> Result<(), String> {
-    let path = get(flags, "model", "model.cmfm");
     let u: u32 = get_parse(flags, "user", 0)?;
     let v: u32 = get_parse(flags, "item", 0)?;
-    let pred = if flags.contains_key("f16") {
-        let model: Model<F16> = load_model_file(path).map_err(|e| e.to_string())?;
+    let pred = with_model!(get(flags, "model", "model.cmfk"), |model| {
         check_bounds(&model, u, v)?;
         model.predict(u, v)
-    } else {
-        let model: Model<f32> = load_model_file(path).map_err(|e| e.to_string())?;
-        check_bounds(&model, u, v)?;
-        model.predict(u, v)
-    };
+    });
     println!("predicted rating for (user {u}, item {v}): {pred:.3}");
     Ok(())
 }
 
-fn check_bounds<E: cumf_sgd::core::Element>(
-    model: &Model<E>,
-    u: u32,
-    v: u32,
-) -> Result<(), String> {
+fn check_bounds<E: Element>(model: &EngineModel<E>, u: u32, v: u32) -> Result<(), String> {
     if u >= model.p.rows() {
         return Err(format!("user {u} out of range (m = {})", model.p.rows()));
     }

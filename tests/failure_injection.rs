@@ -278,7 +278,12 @@ fn divergence_is_flagged_not_hidden() {
 
 #[test]
 fn model_io_errors_are_typed() {
-    use cumf_sgd::core::model_io::{load_model, ModelIoError};
-    let err = load_model::<f32, _>(Cursor::new(b"JUNKJUNKJUNK".to_vec())).unwrap_err();
+    use cumf_sgd::core::engine::{load_checkpoint, ModelIoError};
+    let path = std::env::temp_dir().join("cumf_failure_injection_junk.cmfk");
+    std::fs::write(&path, b"JUNKJUNKJUNK").unwrap();
+    let err = load_checkpoint::<f32>(&path).unwrap_err();
+    let _ = std::fs::remove_file(&path);
     assert!(matches!(err, ModelIoError::Format(_)), "{err}");
+    let err = load_checkpoint::<f32>(&path).unwrap_err();
+    assert!(matches!(err, ModelIoError::Io(_)), "missing file: {err}");
 }
