@@ -44,6 +44,11 @@ pub trait Element: Copy + Send + Sync + Default + 'static {
     fn as_f32_mut(_row: &mut [Self]) -> Option<&mut [f32]> {
         None
     }
+    /// Read-only counterpart of [`Element::as_f32_mut`].
+    #[inline]
+    fn as_f32(_row: &[Self]) -> Option<&[f32]> {
+        None
+    }
 }
 
 impl Element for f32 {
@@ -59,6 +64,10 @@ impl Element for f32 {
     }
     #[inline]
     fn as_f32_mut(row: &mut [Self]) -> Option<&mut [f32]> {
+        Some(row)
+    }
+    #[inline]
+    fn as_f32(row: &[Self]) -> Option<&[f32]> {
         Some(row)
     }
 }

@@ -208,6 +208,43 @@ fn nan_storm_rolls_back_without_leaking_non_finite() {
     assert_eq!(r.p, baseline.p);
 }
 
+/// A sim-time trigger fires at the first epoch whose simulated start is at
+/// or past `t`, and only once: the rolled-back replay of that epoch starts
+/// past `t` again but runs clean.
+#[test]
+fn sim_time_fault_fires_once_at_first_epoch_starting_past_t() {
+    let d = dataset();
+    let cfg = config(nomad());
+    let baseline = run(&d, &cfg, SupervisorConfig::default(), FaultPlan::new()).unwrap();
+    let starts: Vec<f64> = baseline
+        .timings
+        .iter()
+        .scan(0.0, |clock, t| {
+            let start = *clock;
+            *clock += t.seconds;
+            Some(start)
+        })
+        .collect();
+    // Exactly epoch 4's start, and a point inside epoch 3: either way
+    // epoch 4 is the first to start at or past t.
+    for t in [starts[4], 0.5 * (starts[3] + starts[4])] {
+        let plan = FaultPlan::new().at_sim_time(t, FaultKind::NanStorm { rows: 3 });
+        let r = run(&d, &cfg, SupervisorConfig::default(), plan).unwrap();
+        let injected: Vec<u32> = r
+            .log
+            .events
+            .iter()
+            .filter(|e| e.kind == RecoveryKind::Injected)
+            .map(|e| e.epoch)
+            .collect();
+        assert_eq!(injected, [4], "t={t}\n{}", r.log);
+        assert!(r.rollbacks >= 1, "the storm must force a rollback");
+        assert_eq!(r.trace.points, baseline.trace.points);
+        assert_eq!(r.p, baseline.p);
+        assert_eq!(r.q, baseline.q);
+    }
+}
+
 /// Satellite regression for DivergenceGuard rollback: the learning-rate
 /// spike diverges a BoldDriver run; rollback must restore the adaptive LR
 /// state (current rate + last observed loss) together with the factors. If
