@@ -1,9 +1,10 @@
 //! Static deadlock & liveness certifier for every blocking protocol the
 //! workspace ships.
 //!
-//! The engine layers hold locks in three places: the striped factor
-//! matrices in `cumf-core` (`striped_locked_epoch` and the two-row
-//! update path), the `TrainSupervisor` watchdog around faulted PCIe
+//! The engine layers hold locks in three places: the factor matrices in
+//! `cumf-core` (the stripes of `striped_locked_epoch` and the two-row
+//! update path, and the P/Q blocks of the block-ticket executor), the
+//! `TrainSupervisor` watchdog around faulted PCIe
 //! transfers, and the DES resource configurations (`ServerId`/`LinkId`/
 //! `LockId` with their `SmallDeque` waiter lists) that the GPU machine
 //! model and the bench pipeline instantiate. Each of those protocols is

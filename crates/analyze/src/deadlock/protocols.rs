@@ -25,6 +25,15 @@ const STRIPE_HOLD_S: f64 = 1e-6;
 /// the widest shipped executor configuration (32 threads).
 const STRIPE_WAITERS: usize = 31;
 
+/// Certified block hold of the block-ticket executor: a segment holds its
+/// P and Q blocks for all of its samples, nominally one block's share of
+/// a million-sample epoch at about a microsecond per DRAM-bound update.
+const BLOCK_HOLD_S: f64 = 1.0;
+
+/// Waiters on one block lock: none. A segment locks its blocks only once
+/// its tickets are up, and no running segment shares a block with it.
+const BLOCK_WAITERS: usize = 0;
+
 fn class_index(
     classes: &mut Vec<ClassSpec>,
     name: &str,
@@ -47,32 +56,23 @@ fn class_index(
 }
 
 /// Builds a protocol from the in-source annotation table in
-/// `cumf_core::concurrent` (all stripe classes: 1 slot, stripe hold).
+/// `cumf_core::concurrent` (every class: 1 slot; the stripe hold and
+/// waiters, or the block ones for `block-ticket`).
 fn from_core_sites(name: &'static str) -> Protocol {
+    let (hold_s, waiters) = match name {
+        "block-ticket" => (BLOCK_HOLD_S, BLOCK_WAITERS),
+        _ => (STRIPE_HOLD_S, STRIPE_WAITERS),
+    };
     let mut classes = Vec::new();
     let mut sites = Vec::new();
     for anno in cumf_core::concurrent::LOCK_SITES
         .iter()
         .filter(|s| s.protocol == name)
     {
-        let acquires = class_index(
-            &mut classes,
-            anno.acquires,
-            anno.anchor,
-            1,
-            STRIPE_HOLD_S,
-            STRIPE_WAITERS,
-        );
-        let held = anno.held.map(|h| {
-            class_index(
-                &mut classes,
-                h,
-                anno.anchor,
-                1,
-                STRIPE_HOLD_S,
-                STRIPE_WAITERS,
-            )
-        });
+        let acquires = class_index(&mut classes, anno.acquires, anno.anchor, 1, hold_s, waiters);
+        let held = anno
+            .held
+            .map(|h| class_index(&mut classes, h, anno.anchor, 1, hold_s, waiters));
         sites.push(SiteSpec {
             held,
             acquires,
@@ -334,6 +334,7 @@ pub fn shipped_protocols() -> Vec<Protocol> {
     vec![
         from_core_sites("striped-epoch"),
         from_core_sites("two-row-update"),
+        from_core_sites("block-ticket"),
         des_global_table(),
         des_wavefront(),
         des_bench_pipeline(),
@@ -468,8 +469,8 @@ mod tests {
     use crate::deadlock::{analyze_protocol, ProtocolOutcome};
 
     #[test]
-    fn ships_seven_protocols_and_five_twins() {
-        assert_eq!(shipped_protocols().len(), 7);
+    fn ships_eight_protocols_and_five_twins() {
+        assert_eq!(shipped_protocols().len(), 8);
         assert_eq!(broken_twins().len(), 5);
     }
 
@@ -483,6 +484,9 @@ mod tests {
             .classes
             .iter()
             .any(|c| c.name == "stripe.lo" || c.name == "stripe.hi"));
+        let p = from_core_sites("block-ticket");
+        let names: Vec<&str> = p.classes.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["P.block", "Q.block"]);
     }
 
     #[test]

@@ -28,8 +28,8 @@
 //!
 //! * [`stale`] — a static staleness & asynchrony certifier: every
 //!   lock-free update path (`solver-hogwild`, the threaded
-//!   batch-Hogwild executor, the striped-epoch and two-row lock paths,
-//!   the partitioned multi-GPU grid) is lifted from the
+//!   batch-Hogwild executor, the striped-epoch, two-row and
+//!   block-ticket lock paths, the partitioned multi-GPU grid) is lifted from the
 //!   `cumf_core::concurrent::UPDATE_PATHS` in-source annotations into
 //!   an asynchrony IR; the worst-case per-row staleness bound τ is
 //!   derived, exhaustively validated over all interleavings with the

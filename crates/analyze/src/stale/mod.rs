@@ -117,6 +117,16 @@ pub fn shipped_paths() -> Vec<ShippedPath> {
                 locked: true,
                 claimed_tau: 0,
             },
+            "block-ticket" => StaleModel {
+                name: "block-ticket",
+                writers: 2,
+                assignment: models::SHARED_2X2,
+                updates_per_epoch: 2,
+                epochs: 1,
+                barrier: BarrierKind::None,
+                locked: true,
+                claimed_tau: 0,
+            },
             "partitioned-grid" => {
                 cross_check_grid_independence();
                 StaleModel {
@@ -186,9 +196,9 @@ pub fn shipped_paths() -> Vec<ShippedPath> {
         }
         paths.push(ShippedPath { spec, model });
     }
-    if paths.len() < 5 {
+    if paths.len() < 6 {
         drift(&format!(
-            "only {} update paths are annotated; the workspace ships 5",
+            "only {} update paths are annotated; the workspace ships 6",
             paths.len()
         ));
     }
@@ -479,13 +489,13 @@ mod tests {
         assert!(s
             .lines
             .iter()
-            .any(|l| l.contains("5 update paths certified, 3 broken twins refuted")));
+            .any(|l| l.contains("6 update paths certified, 3 broken twins refuted")));
     }
 
     #[test]
     fn every_shipped_path_is_certified_with_finite_tau() {
         let paths = shipped_paths();
-        assert_eq!(paths.len(), 5, "the workspace ships five update paths");
+        assert_eq!(paths.len(), 6, "the workspace ships six update paths");
         for p in paths {
             let tau = staleness_bound(&p.spec).expect("shipped τ must be finite");
             assert_eq!(tau, u64::from(p.model.claimed_tau));

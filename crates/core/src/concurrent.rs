@@ -23,9 +23,15 @@
 //!
 //! A `ThreadedHogwild` executor ([`threaded_hogwild_epoch`]) using real OS threads over atomic f32
 //! cells is provided as well, for cross-validation on multi-core hosts.
+//!
+//! The Sequential engine runs blocked schedules (wavefront, LIBMF table)
+//! on real threads too, through the block-ticket executor: a drained epoch
+//! cut into one-worker-in-one-block segments, each started only once the
+//! earlier segments on its row block and its column block have finished,
+//! so the result is bit for bit that of in-order application.
 
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 
 use cumf_data::CooMatrix;
 
@@ -150,6 +156,251 @@ pub fn run_epoch_with<E: Element, S: UpdateStream + ?Sized>(
             gamma,
             lambda,
         ),
+    }
+}
+
+/// Threads the host can run at once (1 when unknown).
+pub(crate) fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+// ---------------------------------------------------------------------------
+// Block-ticket executor (a drained blocked schedule on real OS threads)
+// ---------------------------------------------------------------------------
+
+/// One worker's consecutive run of samples inside one block of the grid.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Segment {
+    /// The stream worker that ran it: its samples are in that worker's
+    /// lane of the plan.
+    pub worker: u32,
+    /// Row block.
+    pub bi: u32,
+    /// Column block.
+    pub bj: u32,
+    /// Earlier segments on column block `bj`.
+    pub col_rank: u32,
+    /// First sample in the worker's lane.
+    pub start: u32,
+    /// Samples in the segment.
+    pub len: u32,
+}
+
+/// A drained epoch cut into segments, in the drained order of their first
+/// samples. Segments that share a row block or a column block never
+/// overlap in the drained order, and every sample lies in its segment's
+/// block: running each block's segments in plan order therefore applies
+/// every row's and every column's updates in the drained order.
+#[derive(Debug)]
+pub(crate) struct BlockPlan {
+    /// `(row blocks, column blocks)`, under [`crate::partition::segment_of`].
+    pub grid: (u32, u32),
+    /// Segments in plan order.
+    pub segments: Vec<Segment>,
+    /// Each worker's sample indices in drained order.
+    pub lanes: Vec<Vec<u32>>,
+}
+
+impl BlockPlan {
+    /// The samples of segment `s`.
+    fn samples(&self, s: &Segment) -> &[u32] {
+        let start = s.start as usize;
+        &self.lanes[s.worker as usize][start..start + s.len as usize]
+    }
+
+    /// Every sample, segment after segment in plan order.
+    pub fn in_order(&self) -> impl Iterator<Item = u32> + '_ {
+        self.segments
+            .iter()
+            .flat_map(|s| self.samples(s).iter().copied())
+    }
+}
+
+/// One block of P or Q rows with its bias cells: a disjoint chunk of the
+/// matrix, so that threads can hold different blocks at once.
+struct Block<'a, E> {
+    first: u32,
+    rows: &'a mut [E],
+    bias: Option<&'a mut [f32]>,
+}
+
+impl<E> Block<'_, E> {
+    /// Row `r` (of the whole matrix) and its bias cell.
+    #[inline]
+    fn row(&mut self, r: u32, k: usize) -> (&mut [E], Option<&mut f32>) {
+        let at = (r - self.first) as usize;
+        let bias = self.bias.as_deref_mut().map(|b| &mut b[at]);
+        (&mut self.rows[at * k..(at + 1) * k], bias)
+    }
+}
+
+/// Splits `rows` (and `bias`) into the `parts` row ranges of
+/// [`crate::partition::segment_range`], each behind its own lock.
+fn lock_blocks<'a, E>(
+    mut rows: &'a mut [E],
+    mut bias: Option<&'a mut [f32]>,
+    total: u32,
+    parts: u32,
+    k: usize,
+) -> Vec<Mutex<Block<'a, E>>> {
+    (0..parts)
+        .map(|b| {
+            let range = crate::partition::segment_range(total, parts, b);
+            let n = (range.end - range.start) as usize;
+            let (head, tail) = std::mem::take(&mut rows).split_at_mut(n * k);
+            rows = tail;
+            let bias = bias.as_mut().map(|cells| {
+                let (head, tail) = std::mem::take(cells).split_at_mut(n);
+                *cells = tail;
+                head
+            });
+            Mutex::new(Block {
+                first: range.start,
+                rows: head,
+                bias,
+            })
+        })
+        .collect()
+}
+
+/// The executor's shared progress: per row block, its segments in plan
+/// order, how many have finished and whether one is running; per column
+/// block, how many have finished.
+struct Tickets {
+    row_queues: Vec<Vec<u32>>,
+    rows_done: Vec<u32>,
+    rows_busy: Vec<bool>,
+    cols_done: Vec<u32>,
+    /// Segments not yet finished.
+    left: usize,
+    /// A thread panicked: the others stop instead of waiting for it.
+    aborted: bool,
+}
+
+impl Tickets {
+    /// The earliest segment that may start: the next on its row block,
+    /// and the next on its column block, with no segment running on its
+    /// row block. `None` when nothing is ready yet.
+    fn ready(&self, plan: &BlockPlan) -> Option<u32> {
+        let mut best = None;
+        for (bi, queue) in self.row_queues.iter().enumerate() {
+            let Some(&id) = queue.get(self.rows_done[bi] as usize) else {
+                continue;
+            };
+            let s = &plan.segments[id as usize];
+            let up = !self.rows_busy[bi] && self.cols_done[s.bj as usize] == s.col_rank;
+            if up && best.is_none_or(|b| id < b) {
+                best = Some(id);
+            }
+        }
+        best
+    }
+}
+
+/// Marks the tickets aborted if the thread holding it unwinds.
+struct AbortOnPanic<'a>(&'a (Mutex<Tickets>, Condvar));
+
+impl Drop for AbortOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            if let Ok(mut tickets) = self.0 .0.lock() {
+                tickets.aborted = true;
+            }
+            self.0 .1.notify_all();
+        }
+    }
+}
+
+/// Runs a verified [`BlockPlan`] on `threads` scoped OS threads.
+///
+/// P row blocks and Q column blocks (with their bias cells) are disjoint
+/// chunks of the model, each behind its own `Mutex`. A segment starts
+/// only once every earlier segment on its row block and on its column
+/// block has finished (its *tickets*); it then holds its P block and its
+/// Q block, in that order, for all of its samples. Every row and column
+/// thus sees its updates in plan order, which is the drained order: the
+/// result is bit for bit that of applying the drained order in sequence.
+/// Each thread runs the earliest segment that is ready. The earliest
+/// unfinished segment is always ready or running, so the executor cannot
+/// deadlock.
+pub(crate) fn block_ticket_epoch<E: Element>(
+    data: &CooMatrix,
+    model: ModelView<'_, E>,
+    plan: &BlockPlan,
+    threads: usize,
+    gamma: f32,
+    lambda: f32,
+) {
+    let k = model.p.k() as usize;
+    let (parts_p, parts_q) = plan.grid;
+    let (mu, user, item) = match model.bias {
+        Some(b) => (b.mu, Some(&mut b.user[..]), Some(&mut b.item[..])),
+        None => (0.0, None, None),
+    };
+    let (m, n) = (model.p.rows(), model.q.rows());
+    let p_blocks = lock_blocks(model.p.as_mut_slice(), user, m, parts_p, k);
+    let q_blocks = lock_blocks(model.q.as_mut_slice(), item, n, parts_q, k);
+    let mut row_queues = vec![Vec::new(); parts_p as usize];
+    for (id, s) in plan.segments.iter().enumerate() {
+        row_queues[s.bi as usize].push(id as u32);
+    }
+    let state = (
+        Mutex::new(Tickets {
+            row_queues,
+            rows_done: vec![0; parts_p as usize],
+            rows_busy: vec![false; parts_p as usize],
+            cols_done: vec![0; parts_q as usize],
+            left: plan.segments.len(),
+            aborted: false,
+        }),
+        Condvar::new(),
+    );
+    std::thread::scope(|scope| {
+        for _ in 0..threads.max(1) {
+            let (state, p_blocks, q_blocks) = (&state, &p_blocks, &q_blocks);
+            scope.spawn(move || {
+                let _abort = AbortOnPanic(state);
+                let mut stage = vec![0.0f32; 2 * k];
+                while let Some(id) = next_ready(state, plan) {
+                    let s = plan.segments[id as usize];
+                    let mut pb = p_blocks[s.bi as usize].lock().expect("P block poisoned");
+                    let mut qb = q_blocks[s.bj as usize].lock().expect("Q block poisoned");
+                    for &i in plan.samples(&s) {
+                        let e = data.get(i as usize);
+                        let (p, bu) = pb.row(e.u, k);
+                        let (q, bv) = qb.row(e.v, k);
+                        let bias = bu.zip(bv).map(|(bu, bv)| (mu, bu, bv));
+                        crate::engine::exec::update_sample(
+                            p, q, bias, e.r, gamma, lambda, &mut stage,
+                        );
+                    }
+                    drop((pb, qb));
+                    let mut tickets = state.0.lock().expect("tickets poisoned");
+                    tickets.rows_busy[s.bi as usize] = false;
+                    tickets.rows_done[s.bi as usize] += 1;
+                    tickets.cols_done[s.bj as usize] += 1;
+                    tickets.left -= 1;
+                    drop(tickets);
+                    state.1.notify_all();
+                }
+            });
+        }
+    });
+}
+
+/// Claims the earliest ready segment, waiting until there is one. `None`
+/// once every segment has finished (or another thread panicked).
+fn next_ready(state: &(Mutex<Tickets>, Condvar), plan: &BlockPlan) -> Option<u32> {
+    let mut tickets = state.0.lock().expect("tickets poisoned");
+    loop {
+        if tickets.aborted || tickets.left == 0 {
+            return None;
+        }
+        if let Some(id) = tickets.ready(plan) {
+            tickets.rows_busy[plan.segments[id as usize].bi as usize] = true;
+            return Some(id);
+        }
+        tickets = state.1.wait(tickets).expect("tickets poisoned");
     }
 }
 
@@ -720,6 +971,21 @@ pub const LOCK_SITES: &[LockSiteAnno] = &[
         anchor: "crates/core/src/concurrent.rs::StripedFactors::with_two_rows_locked",
         note: "ascending stripe order via ordered_stripes; equal stripes lock once",
     },
+    LockSiteAnno {
+        protocol: "block-ticket",
+        held: None,
+        acquires: "P.block",
+        anchor: "crates/core/src/concurrent.rs::block_ticket_epoch",
+        note: "per-segment entry: the segment's P row block is always taken first",
+    },
+    LockSiteAnno {
+        protocol: "block-ticket",
+        held: Some("P.block"),
+        acquires: "Q.block",
+        anchor: "crates/core/src/concurrent.rs::block_ticket_epoch",
+        note: "canonical P-then-Q order; the tickets already keep two running \
+               segments off each other's blocks",
+    },
 ];
 
 /// Every shipped update path, lifted into the asynchrony IR consumed by
@@ -763,6 +1029,15 @@ pub const UPDATE_PATHS: &[crate::stale::UpdatePathAnno] = &[
         anchor: "crates/core/src/concurrent.rs::StripedFactors::with_two_rows_locked",
         note: "both rows locked in ascending stripe order across the \
                whole update — serialised per row pair (τ = 0)",
+    },
+    crate::stale::UpdatePathAnno {
+        path: "block-ticket",
+        footprint: crate::stale::Footprint::RowLocked,
+        sync: crate::stale::SyncKind::LockRelease,
+        anchor: "crates/core/src/concurrent.rs::block_ticket_epoch",
+        note: "each segment holds its P block and Q block across all of its \
+               read-modify-writes, and starts only after the earlier \
+               segments on both blocks released them (τ = 0)",
     },
     crate::stale::UpdatePathAnno {
         path: "partitioned-grid",

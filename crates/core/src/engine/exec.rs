@@ -3,8 +3,9 @@
 //! An [`ExecEngine`] turns a scheduled stream of samples into model
 //! mutations under a chosen execution semantics:
 //!
-//! * [`SequentialEngine`] — apply each update immediately in worker order
-//!   (exact for conflict-free schedules);
+//! * [`SequentialEngine`] — apply each update in worker order (exact for
+//!   conflict-free schedules; blocked schedules run on every core through
+//!   the block-ticket executor of [`crate::concurrent`], bit for bit);
 //! * [`StaleAdditiveEngine`] — the round-based Hogwild! conflict engine
 //!   (snapshot reads, additive commits) of [`crate::concurrent`];
 //! * [`ThreadedHogwildEngine`] — real OS threads racing on atomic f32
@@ -14,13 +15,18 @@
 //! biased model (`μ + b_u + b_v + p·q`), extending the same stale-read /
 //! additive-commit semantics to the bias cells.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use cumf_data::{CooMatrix, Entry};
 
-use crate::concurrent::{threaded_hogwild_epoch, AtomicFactors, EpochStats, ExecMode};
+use crate::concurrent::{
+    block_ticket_epoch, host_threads, threaded_hogwild_epoch, AtomicFactors, BlockPlan, EpochStats,
+    ExecMode, Segment,
+};
 use crate::feature::Element;
 use crate::kernel::sgd_update;
+use crate::partition::{segment_of, segment_range};
 use crate::sched::{StreamItem, UpdateStream};
 
 use super::model::ModelView;
@@ -138,6 +144,8 @@ struct Rounds {
     live: usize,
     /// The current round's samples, in worker order.
     samples: Vec<Entry>,
+    /// The worker and sample index of each of `samples`.
+    sources: Vec<(u32, usize)>,
     /// Bitsets over P rows and Q columns for collision accounting,
     /// all-zero between rounds.
     seen_rows: Vec<u64>,
@@ -150,6 +158,7 @@ impl Rounds {
             exhausted: vec![false; workers],
             live: workers,
             samples: Vec::with_capacity(workers),
+            sources: Vec::with_capacity(workers),
             seen_rows: vec![0; (data.rows() as usize).div_ceil(64)],
             seen_cols: vec![0; (data.cols() as usize).div_ceil(64)],
         }
@@ -168,12 +177,13 @@ impl Rounds {
         }
         stats.rounds += 1;
         self.samples.clear();
+        self.sources.clear();
         for (w, done) in self.exhausted.iter_mut().enumerate() {
             if *done {
                 continue;
             }
             match stream.next(w) {
-                StreamItem::Sample(i) => self.samples.push(data.get(i)),
+                StreamItem::Sample(i) => self.sources.push((w as u32, i)),
                 StreamItem::Stall => stats.stalls += 1,
                 StreamItem::Exhausted => {
                     *done = true;
@@ -181,6 +191,9 @@ impl Rounds {
                 }
             }
         }
+        // Fetched after the stream is polled, so the loads overlap.
+        let fetch = self.sources.iter().map(|&(_, i)| data.get(i));
+        self.samples.extend(fetch);
         stats.updates += self.samples.len() as u64;
         let rows = self.samples.iter().map(|e| e.u);
         stats.row_collisions += collides(&mut self.seen_rows, rows) as u64;
@@ -216,54 +229,222 @@ fn collides(seen: &mut [u64], keys: impl Iterator<Item = u32> + Clone) -> bool {
 /// schedule therefore no longer serialises *silently* — upstream callers
 /// ([`crate::solver`]) additionally refuse sequential execution unless the
 /// schedule carries a [`crate::sched::ConflictCert`].
+///
+/// A stream with a block grid ([`UpdateStream::block_grid`]) on a
+/// multi-core host is drained first and cut into a block plan, which
+/// the block-ticket executor ([`crate::concurrent`]) runs on up to one
+/// thread per core, bit for bit as in order. Any other stream, or a
+/// drained order that breaks its declared grid, is applied in order.
 pub fn sequential_epoch<E: Element, S: UpdateStream + ?Sized>(
+    data: &CooMatrix,
+    model: ModelView<'_, E>,
+    stream: &mut S,
+    gamma: f32,
+    lambda: f32,
+) -> EpochStats {
+    let threads = host_threads().min(stream.workers());
+    sequential_epoch_on(data, model, stream, gamma, lambda, threads).0
+}
+
+/// [`sequential_epoch`] on at most `threads` threads; also says whether
+/// the block-ticket executor ran.
+fn sequential_epoch_on<E: Element, S: UpdateStream + ?Sized>(
     data: &CooMatrix,
     mut model: ModelView<'_, E>,
     stream: &mut S,
     gamma: f32,
     lambda: f32,
-) -> EpochStats {
-    let k = model.p.k() as usize;
+    threads: usize,
+) -> (EpochStats, bool) {
     let mut stats = EpochStats::default();
     let mut rounds = Rounds::new(stream.workers(), data);
-    let mut pu = vec![0.0f32; k];
-    let mut qv = vec![0.0f32; k];
+    let mut stage = vec![0.0f32; 2 * model.p.k() as usize];
+    // Plans index samples as u32 and split P and Q by the data's shape.
+    let fits = u32::try_from(data.nnz()).is_ok()
+        && (model.p.rows(), model.q.rows()) == (data.rows(), data.cols());
+    let grid = stream
+        .block_grid()
+        .filter(|&(p, q)| threads > 1 && fits && p > 0 && q > 0);
+    let mut planner = grid.map(|grid| Planner::new(data, grid, stream.workers()));
     while rounds.next(data, stream, &mut stats) {
-        for e in &rounds.samples {
-            match model.bias.as_deref_mut() {
-                None => {
-                    // Split borrows: p and q are distinct matrices.
-                    sgd_update(
-                        model.p.row_mut(e.u),
-                        model.q.row_mut(e.v),
-                        e.r,
-                        gamma,
-                        lambda,
-                    );
-                }
-                Some(bias) => {
-                    model.p.load_row(e.u, &mut pu);
-                    model.q.load_row(e.v, &mut qv);
-                    let bu = bias.user[e.u as usize];
-                    let bv = bias.item[e.v as usize];
-                    let pred =
-                        bias.mu + bu + bv + pu.iter().zip(&qv).map(|(a, b)| a * b).sum::<f32>();
-                    let err = e.r - pred;
-                    bias.user[e.u as usize] = bu + gamma * (err - lambda * bu);
-                    bias.item[e.v as usize] = bv + gamma * (err - lambda * bv);
-                    for j in 0..k {
-                        let pj = pu[j];
-                        let qj = qv[j];
-                        pu[j] = pj + gamma * (err * qj - lambda * pj);
-                        qv[j] = qj + gamma * (err * pj - lambda * qj);
-                    }
-                    model.p.store_row(e.u, &pu);
-                    model.q.store_row(e.v, &qv);
+        for (e, &(w, i)) in rounds.samples.iter().zip(&rounds.sources) {
+            if let Some(plan) = planner.as_mut() {
+                let Err(reason) = plan.push(w, i as u32, e) else {
+                    continue;
+                };
+                // Every sample before this one keeps to the grid, so the
+                // plan so far, segment after segment, is that prefix.
+                grid_fallback(stream.name(), &reason);
+                let prefix = planner.take().expect("planning").plan;
+                for i in prefix.in_order() {
+                    apply(&mut model, data.get(i as usize), gamma, lambda, &mut stage);
                 }
             }
+            apply(&mut model, *e, gamma, lambda, &mut stage);
         }
     }
-    stats
+    match planner {
+        Some(planner) => {
+            block_ticket_epoch(data, model, &planner.plan, threads, gamma, lambda);
+            (stats, true)
+        }
+        None => (stats, false),
+    }
+}
+
+/// Applies sample `e` to the model (see [`update_sample`]).
+#[inline]
+fn apply<E: Element>(
+    model: &mut ModelView<'_, E>,
+    e: Entry,
+    gamma: f32,
+    lambda: f32,
+    stage: &mut [f32],
+) {
+    let bias = model.bias.as_deref_mut().map(|b| {
+        let (bu, bv) = (&mut b.user[e.u as usize], &mut b.item[e.v as usize]);
+        (b.mu, bu, bv)
+    });
+    let (p, q) = (model.p.row_mut(e.u), model.q.row_mut(e.v));
+    update_sample(p, q, bias, e.r, gamma, lambda, stage);
+}
+
+/// One SGD step of rating `r` on a P row, a Q row and, for the biased
+/// model, `(μ, b_u, b_v)`: the per-sample update of both the in-order
+/// path and the block-ticket executor. `stage` holds `2k` floats.
+#[inline]
+pub(crate) fn update_sample<E: Element>(
+    p: &mut [E],
+    q: &mut [E],
+    bias: Option<(f32, &mut f32, &mut f32)>,
+    r: f32,
+    gamma: f32,
+    lambda: f32,
+    stage: &mut [f32],
+) {
+    let Some((mu, bu, bv)) = bias else {
+        sgd_update(p, q, r, gamma, lambda);
+        return;
+    };
+    let (pu, qv) = stage.split_at_mut(p.len());
+    E::widen_row(p, pu);
+    E::widen_row(q, qv);
+    let pred = mu + *bu + *bv + pu.iter().zip(&*qv).map(|(a, b)| a * b).sum::<f32>();
+    let err = r - pred;
+    *bu += gamma * (err - lambda * *bu);
+    *bv += gamma * (err - lambda * *bv);
+    for (pj, qj) in pu.iter_mut().zip(qv.iter_mut()) {
+        let (p0, q0) = (*pj, *qj);
+        *pj = p0 + gamma * (err * q0 - lambda * p0);
+        *qj = q0 + gamma * (err * p0 - lambda * q0);
+    }
+    E::narrow_row(pu, p);
+    E::narrow_row(qv, q);
+}
+
+/// Counts a declared grid that failed verification, and says why the
+/// first time.
+fn grid_fallback(stream: &str, reason: &str) {
+    cumf_obs::counter(
+        "cumf_core_grid_fallback_total",
+        "Sequential epochs whose declared block grid failed verification and ran on one core",
+    )
+    .inc();
+    static WARNED: std::sync::Once = std::sync::Once::new();
+    WARNED.call_once(|| {
+        eprintln!(
+            "warning: the {stream} schedule breaks its declared block grid ({reason}); \
+             running its epoch on one core"
+        )
+    });
+}
+
+/// Cuts an epoch into [`Segment`]s while it is drained, verifying on the
+/// way that segments sharing a row block or a column block never overlap
+/// in the drained order.
+struct Planner {
+    shape: (u32, u32),
+    plan: BlockPlan,
+    /// Each worker's current segment.
+    open: Vec<Option<Open>>,
+    /// The last segment that touched each row block.
+    rows: Vec<Option<u32>>,
+    /// The last segment that touched each column block, and how many
+    /// segments have started on it.
+    cols: Vec<(Option<u32>, u32)>,
+}
+
+/// A worker's current segment and the row and column ranges of its block.
+#[derive(Debug, Clone)]
+struct Open {
+    id: u32,
+    rows: Range<u32>,
+    cols: Range<u32>,
+}
+
+impl Planner {
+    fn new(data: &CooMatrix, grid: (u32, u32), workers: usize) -> Self {
+        Planner {
+            shape: (data.rows(), data.cols()),
+            plan: BlockPlan {
+                grid,
+                segments: Vec::new(),
+                lanes: vec![Vec::new(); workers],
+            },
+            open: vec![None; workers],
+            rows: vec![None; grid.0 as usize],
+            cols: vec![(None, 0); grid.1 as usize],
+        }
+    }
+
+    /// Adds worker `w`'s next drained sample `i` (`e`). A sample in its
+    /// worker's current block continues that segment, which must still
+    /// be the last to have touched both of the block's axes; any other
+    /// starts a new segment.
+    fn push(&mut self, w: u32, i: u32, e: &Entry) -> Result<(), String> {
+        let open = &mut self.open[w as usize];
+        let id = match open {
+            Some(o) if o.rows.contains(&e.u) && o.cols.contains(&e.v) => {
+                let s = &self.plan.segments[o.id as usize];
+                let (row, col) = (self.rows[s.bi as usize], self.cols[s.bj as usize].0);
+                if row != Some(o.id) || col != Some(o.id) {
+                    return Err(format!(
+                        "worker {w} returns to block ({}, {}) after another worker \
+                         touched its row or column block",
+                        s.bi, s.bj
+                    ));
+                }
+                o.id
+            }
+            _ => {
+                let (grid, (m, n)) = (self.plan.grid, self.shape);
+                let (bi, bj) = (segment_of(m, grid.0, e.u), segment_of(n, grid.1, e.v));
+                let col = &mut self.cols[bj as usize];
+                let id = self.plan.segments.len() as u32;
+                self.plan.segments.push(Segment {
+                    worker: w,
+                    bi,
+                    bj,
+                    col_rank: col.1,
+                    start: self.plan.lanes[w as usize].len() as u32,
+                    len: 0,
+                });
+                col.1 += 1;
+                *open = Some(Open {
+                    id,
+                    rows: segment_range(m, grid.0, bi),
+                    cols: segment_range(n, grid.1, bj),
+                });
+                id
+            }
+        };
+        let s = &mut self.plan.segments[id as usize];
+        self.rows[s.bi as usize] = Some(id);
+        self.cols[s.bj as usize].0 = Some(id);
+        s.len += 1;
+        self.plan.lanes[w as usize].push(i);
+        Ok(())
+    }
 }
 
 /// One epoch of round-snapshot reads + additive commits (the Hogwild!
@@ -391,7 +572,9 @@ mod tests {
     use crate::engine::model::{BiasTerms, EngineModel};
     use crate::half::F16;
     use crate::kernel::sgd_delta;
-    use crate::sched::{BatchHogwildStream, HogwildStream, SerialStream};
+    use crate::sched::{
+        BatchHogwildStream, HogwildStream, LibmfTableStream, SerialStream, WavefrontStream,
+    };
     use cumf_rng::{ChaCha8Rng, Rng, SeedableRng};
 
     fn tiny_data() -> CooMatrix {
@@ -639,6 +822,205 @@ mod tests {
                     engine_matches_reference::<f32>(data, k, biased);
                     engine_matches_reference::<F16>(data, k, biased);
                 }
+            }
+        }
+    }
+
+    /// The sequential body before it drained the stream first, with the
+    /// round loop and sort-based collision counts of the engines before
+    /// [`Rounds`]: each round's samples applied as they arrive. The
+    /// reference the drained paths must match bit for bit.
+    fn reference_sequential_epoch<E: Element, S: UpdateStream + ?Sized>(
+        data: &CooMatrix,
+        mut model: ModelView<'_, E>,
+        stream: &mut S,
+        gamma: f32,
+        lambda: f32,
+    ) -> EpochStats {
+        let k = model.p.k() as usize;
+        let mut stats = EpochStats::default();
+        let mut exhausted = vec![false; stream.workers()];
+        let mut pu = vec![0.0f32; k];
+        let mut qv = vec![0.0f32; k];
+        while exhausted.iter().any(|&done| !done) {
+            stats.rounds += 1;
+            let mut round = Vec::new();
+            for (w, done) in exhausted.iter_mut().enumerate() {
+                if *done {
+                    continue;
+                }
+                match stream.next(w) {
+                    StreamItem::Sample(i) => round.push(data.get(i)),
+                    StreamItem::Stall => stats.stalls += 1,
+                    StreamItem::Exhausted => *done = true,
+                }
+            }
+            stats.updates += round.len() as u64;
+            let shared = |mut keys: Vec<u32>| {
+                keys.sort_unstable();
+                keys.windows(2).any(|w| w[0] == w[1]) as u64
+            };
+            stats.row_collisions += shared(round.iter().map(|e| e.u).collect());
+            stats.col_collisions += shared(round.iter().map(|e| e.v).collect());
+            for e in &round {
+                match model.bias.as_deref_mut() {
+                    None => {
+                        sgd_update(
+                            model.p.row_mut(e.u),
+                            model.q.row_mut(e.v),
+                            e.r,
+                            gamma,
+                            lambda,
+                        );
+                    }
+                    Some(bias) => {
+                        model.p.load_row(e.u, &mut pu);
+                        model.q.load_row(e.v, &mut qv);
+                        let bu = bias.user[e.u as usize];
+                        let bv = bias.item[e.v as usize];
+                        let pred =
+                            bias.mu + bu + bv + pu.iter().zip(&qv).map(|(a, b)| a * b).sum::<f32>();
+                        let err = e.r - pred;
+                        bias.user[e.u as usize] = bu + gamma * (err - lambda * bu);
+                        bias.item[e.v as usize] = bv + gamma * (err - lambda * bv);
+                        for j in 0..k {
+                            let pj = pu[j];
+                            let qj = qv[j];
+                            pu[j] = pj + gamma * (err * qj - lambda * pj);
+                            qv[j] = qj + gamma * (err * pj - lambda * qj);
+                        }
+                        model.p.store_row(e.u, &pu);
+                        model.q.store_row(e.v, &qv);
+                    }
+                }
+            }
+        }
+        stats
+    }
+
+    /// Runs two epochs of `make()`'s stream through the sequential engine
+    /// on each thread count and through the reference, asserting equal
+    /// stats and bits. Returns whether the block-ticket executor ran at
+    /// every thread count above one.
+    fn sequential_matches_reference<E: Element>(
+        data: &CooMatrix,
+        k: u32,
+        biased: bool,
+        make: &dyn Fn() -> Box<dyn UpdateStream>,
+    ) -> bool {
+        let mut rng = ChaCha8Rng::seed_from_u64(u64::from(k) * 7 + u64::from(biased));
+        let init = if biased {
+            EngineModel::<E>::init_biased(data, k, &mut rng)
+        } else {
+            EngineModel::<E>::init_unbiased(data, k, &mut rng)
+        };
+        let mut parallel = true;
+        for threads in [1, 2, 3, 16] {
+            let (mut got, mut want) = (init.clone(), init.clone());
+            let (mut s1, mut s2) = (make(), make());
+            for epoch in 0..2 {
+                s1.begin_epoch(epoch);
+                s2.begin_epoch(epoch);
+                let (stats, ran) =
+                    sequential_epoch_on(data, got.view(), s1.as_mut(), 0.05, 0.02, threads);
+                let expected =
+                    reference_sequential_epoch(data, want.view(), s2.as_mut(), 0.05, 0.02);
+                let case = format!(
+                    "{} k={k} biased={biased} {} threads={threads} epoch {epoch}",
+                    E::NAME,
+                    s1.name()
+                );
+                assert_eq!(stats, expected, "{case}");
+                assert_eq!(state_bits(&got), state_bits(&want), "{case}");
+                parallel &= ran || threads == 1;
+                assert!(!ran || threads > 1, "{case}: one thread never plans");
+            }
+        }
+        parallel
+    }
+
+    #[test]
+    fn block_ticket_executor_matches_in_order_application_bitwise() {
+        let data = random_data(97, 61, 1500);
+        let streams: [&dyn Fn() -> Box<dyn UpdateStream>; 2] =
+            [&|| Box::new(WavefrontStream::new(&data, 4, 8, 5)), &|| {
+                Box::new(LibmfTableStream::new(&data, 3, 5, 6))
+            }];
+        for make in streams {
+            for k in [1, 7, 16, 128] {
+                for biased in [false, true] {
+                    assert!(sequential_matches_reference::<f32>(&data, k, biased, make));
+                    assert!(sequential_matches_reference::<F16>(&data, k, biased, make));
+                }
+            }
+        }
+    }
+
+    /// A stream that declares a block grid of our choosing.
+    struct Declared(Box<dyn UpdateStream>, (u32, u32));
+
+    impl UpdateStream for Declared {
+        fn workers(&self) -> usize {
+            self.0.workers()
+        }
+        fn next(&mut self, worker: usize) -> StreamItem {
+            self.0.next(worker)
+        }
+        fn begin_epoch(&mut self, epoch: u32) {
+            self.0.begin_epoch(epoch)
+        }
+        fn name(&self) -> &'static str {
+            "declared"
+        }
+        fn block_grid(&self) -> Option<(u32, u32)> {
+            Some(self.1)
+        }
+    }
+
+    #[test]
+    fn a_finer_declared_grid_still_runs_on_every_thread() {
+        // 8 × 16 refines the wavefront's own 4 × 8 grid: each worker's
+        // run in a block splits into many segments that the tickets must
+        // still order.
+        let data = random_data(97, 61, 1500);
+        let make = || -> Box<dyn UpdateStream> {
+            Box::new(Declared(
+                Box::new(WavefrontStream::new(&data, 4, 8, 5)),
+                (8, 16),
+            ))
+        };
+        for biased in [false, true] {
+            assert!(sequential_matches_reference::<f32>(
+                &data, 16, biased, &make
+            ));
+            assert!(sequential_matches_reference::<F16>(&data, 7, biased, &make));
+        }
+    }
+
+    #[test]
+    fn a_grid_the_schedule_breaks_falls_back_to_in_order() {
+        let data = random_data(97, 61, 1500);
+        // Batch-Hogwild!'s workers share blocks from the first rounds on;
+        // the wavefront's workers keep to a 4 × 4 coarsening of its grid
+        // for a while, until two of them hold neighbouring columns.
+        let streams: [&dyn Fn() -> Box<dyn UpdateStream>; 2] = [
+            &|| {
+                let inner = BatchHogwildStream::new(data.nnz(), 4, 8);
+                Box::new(Declared(Box::new(inner), (2, 2)))
+            },
+            &|| {
+                Box::new(Declared(
+                    Box::new(WavefrontStream::new(&data, 4, 8, 5)),
+                    (4, 4),
+                ))
+            },
+        ];
+        for make in streams {
+            for biased in [false, true] {
+                assert!(!sequential_matches_reference::<f32>(
+                    &data, 16, biased, make
+                ));
+                assert!(!sequential_matches_reference::<F16>(&data, 7, biased, make));
             }
         }
     }

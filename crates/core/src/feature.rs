@@ -5,7 +5,7 @@
 //! Storage is generic over the element type: `f32`, or
 //! [`F16`](crate::half::F16) for the paper's half-precision mode.
 
-use cumf_rng::Rng;
+use cumf_rng::{ChaCha8Rng, Rng};
 
 use crate::fnv::{fnv1a_extend, FNV_OFFSET};
 
@@ -72,6 +72,23 @@ impl Element for f32 {
     }
 }
 
+/// Elements below which [`FactorMatrix::random_init`] stays on the
+/// calling thread: a spawn costs about what drawing this many takes.
+const PARALLEL_INIT_MIN: usize = 1 << 16;
+
+/// Fills `rows` (whole rows of length `k`) with `U(0, scale)` draws, one
+/// word of `rng` per element in order. Each row is drawn, then narrowed
+/// in one call: the same draws in the same order as element by element.
+fn fill_uniform<E: Element>(rows: &mut [E], k: usize, scale: f32, rng: &mut ChaCha8Rng) {
+    let mut draws = vec![0.0f32; k];
+    for row in rows.chunks_exact_mut(k) {
+        for d in &mut draws {
+            *d = rng.gen_range(0.0..scale);
+        }
+        E::narrow_row(&draws, row);
+    }
+}
+
 /// A dense rows×k factor matrix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FactorMatrix<E: Element> {
@@ -95,18 +112,38 @@ impl<E: Element> FactorMatrix<E> {
     ///
     /// The positive uniform init biases early predictions towards positive
     /// ratings, matching LIBMF/cuMF initialisation.
-    pub fn random_init<R: Rng>(rows: u32, k: u32, rng: &mut R) -> Self {
+    ///
+    /// Element `i` (row-major) takes word `i` of `rng`'s stream, so large
+    /// matrices split their rows across the host's cores, each starting
+    /// at its first element's word ([`ChaCha8Rng::advance`]). The result
+    /// and the position `rng` is left at are those of one serial loop.
+    pub fn random_init(rows: u32, k: u32, rng: &mut ChaCha8Rng) -> Self {
+        let threads = if rows as usize * k as usize >= PARALLEL_INIT_MIN {
+            crate::concurrent::host_threads()
+        } else {
+            1
+        };
+        Self::random_init_on(rows, k, rng, threads)
+    }
+
+    /// [`Self::random_init`] on `threads` threads.
+    fn random_init_on(rows: u32, k: u32, rng: &mut ChaCha8Rng, threads: usize) -> Self {
         let mut m = Self::zeros(rows, k);
         let scale = (1.0 / k as f32).sqrt();
-        // Draw a row, then narrow it in one call: the same draws in the
-        // same order as element by element.
-        let mut draws = vec![0.0f32; k as usize];
-        for row in m.data.chunks_exact_mut(k as usize) {
-            for d in &mut draws {
-                *d = rng.gen_range(0.0..scale);
+        let k = k as usize;
+        let chunk = (rows as usize).div_ceil(threads.max(1)).max(1) * k;
+        let mut chunks = m.data.chunks_mut(chunk);
+        let first = chunks.next().unwrap_or_default();
+        let skipped = first.len();
+        std::thread::scope(|scope| {
+            for (t, rest) in chunks.enumerate() {
+                let mut own = rng.clone();
+                own.advance(((t + 1) * chunk) as u64);
+                scope.spawn(move || fill_uniform(rest, k, scale, &mut own));
             }
-            E::narrow_row(&draws, row);
-        }
+            fill_uniform(first, k, scale, rng);
+        });
+        rng.advance((m.data.len() - skipped) as u64);
         m
     }
 
@@ -151,6 +188,12 @@ impl<E: Element> FactorMatrix<E> {
     /// Raw element slice (row-major).
     pub fn as_slice(&self) -> &[E] {
         &self.data
+    }
+
+    /// Mutable raw element slice (row-major), for executors that split
+    /// the matrix into disjoint row blocks.
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [E] {
+        &mut self.data
     }
 
     /// Total storage bytes — what a staging transfer of this matrix costs.
@@ -210,8 +253,7 @@ impl<E: Element> FactorMatrix<E> {
 mod tests {
     use super::*;
     use crate::half::F16;
-    use cumf_rng::ChaCha8Rng;
-    use cumf_rng::SeedableRng;
+    use cumf_rng::{RngCore, SeedableRng};
 
     #[test]
     fn zeros_shape() {
@@ -246,6 +288,31 @@ mod tests {
                 let want = F16::from_f32(rng.gen_range(0.0..scale));
                 assert_eq!(e.to_bits(), want.to_bits(), "k={k} element {i}");
             }
+        }
+    }
+
+    #[test]
+    fn random_init_is_the_same_on_any_thread_count() {
+        fn check<E: Element>(rows: u32, k: u32) {
+            let mut serial_rng = ChaCha8Rng::seed_from_u64(u64::from(rows * 31 + k));
+            serial_rng.next_u32(); // start mid-block
+            let mut after = serial_rng.clone();
+            let serial = FactorMatrix::<E>::random_init_on(rows, k, &mut after, 1);
+            for threads in [2, 5] {
+                let mut rng = serial_rng.clone();
+                let m = FactorMatrix::<E>::random_init_on(rows, k, &mut rng, threads);
+                let case = format!("{} {rows}x{k} on {threads} threads", E::NAME);
+                assert_eq!(m.digest(), serial.digest(), "{case}");
+                assert_eq!(
+                    rng.next_u64(),
+                    after.clone().next_u64(),
+                    "{case}: rng position"
+                );
+            }
+        }
+        for (rows, k) in [(0, 4), (1, 3), (3, 5), (37, 13), (101, 16), (64, 1)] {
+            check::<f32>(rows, k);
+            check::<F16>(rows, k);
         }
     }
 

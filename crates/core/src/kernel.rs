@@ -45,8 +45,9 @@ pub fn precision_of<E: Element>() -> Precision {
 /// DRAM; the dot product and the update loop then read the buffers. The
 /// store side narrows each row back once: `2k` stores. (f32 rows are
 /// updated in place; their second read in the update loop hits the lines
-/// the dot product just loaded. Rows longer than 256 elements take the
-/// unstaged loop, which converts each element twice.) This struct is
+/// the dot product just loaded. Non-f32 rows longer than 256 elements
+/// take the unstaged loop, which converts each element twice: `4k`
+/// loads, of which the second `2k` hit cache.) This struct is
 /// *measured* against the real kernel by the instrumented-element test
 /// below, and certified against [`SgdUpdateCost`] by
 /// [`CostCert::certify`].
@@ -56,7 +57,8 @@ pub struct KernelTraffic {
     pub k: u32,
     /// Bytes per stored element.
     pub elem_bytes: u32,
-    /// Element loads the kernel executes (`2k`: each row widened once).
+    /// Element loads the kernel executes (`2k`: each row widened once;
+    /// `4k` for non-f32 rows too long to stage).
     pub element_loads: u64,
     /// Element loads that reach DRAM (`2k`).
     pub dram_element_loads: u64,
@@ -70,10 +72,12 @@ impl KernelTraffic {
     /// behaviour by the `instrumented_element_counts_match_contract` test).
     pub fn of_update_kernel<E: Element>(k: u32) -> Self {
         let k64 = k as u64;
+        // Non-f32 rows longer than `MAX_STAGED_K` skip `sgd_update`'s staging.
+        let unstaged = E::as_f32(&[]).is_none() && k as usize > MAX_STAGED_K;
         KernelTraffic {
             k,
             elem_bytes: E::BYTES as u32,
-            element_loads: 2 * k64,
+            element_loads: if unstaged { 4 * k64 } else { 2 * k64 },
             dram_element_loads: 2 * k64,
             element_stores: 2 * k64,
         }
@@ -556,7 +560,7 @@ mod tests {
 
     #[test]
     fn instrumented_element_counts_match_contract() {
-        for k in [1usize, 4, 16, 31, 64, 128] {
+        for k in [1usize, 4, 16, 31, 64, 128, MAX_STAGED_K + 1] {
             let mut p: Vec<CountingElem> = (0..k).map(|i| CountingElem(0.01 * i as f32)).collect();
             let mut q: Vec<CountingElem> = (0..k).map(|i| CountingElem(0.02 * i as f32)).collect();
             ELEM_LOADS.with(|c| c.set(0));
@@ -567,9 +571,12 @@ mod tests {
             let contract = KernelTraffic::of_update_kernel::<CountingElem>(k as u32);
             assert_eq!(loads, contract.element_loads, "k={k} loads");
             assert_eq!(stores, contract.element_stores, "k={k} stores");
-            // Staging widens each row once: every load reaches DRAM.
-            assert_eq!(contract.element_loads, 2 * k as u64);
-            assert_eq!(contract.dram_element_loads, contract.element_loads);
+            // Staging widens each row once, so every load reaches DRAM;
+            // unstaged rows load each element twice, the second time
+            // from cache.
+            let widened = if k > MAX_STAGED_K { 2 } else { 1 };
+            assert_eq!(contract.element_loads, widened * 2 * k as u64);
+            assert_eq!(contract.dram_element_loads, 2 * k as u64);
         }
     }
 

@@ -18,6 +18,7 @@ use cumf_rng::SeedableRng;
 use cumf_data::CooMatrix;
 
 use super::{StreamItem, UpdateStream};
+use crate::partition::segment_of;
 
 /// LIBMF-style global-table block scheduling over an a×a grid.
 #[derive(Debug, Clone)]
@@ -41,13 +42,12 @@ impl LibmfTableStream {
     pub fn new(data: &CooMatrix, workers: usize, a: usize, seed: u64) -> Self {
         assert!(workers > 0, "need at least one worker");
         assert!(a > 0, "grid dimension must be positive");
-        let m = data.rows() as usize;
-        let n = data.cols() as usize;
-        assert!(a <= m && a <= n, "grid {a} exceeds matrix {m}x{n}");
+        let (m, n) = (data.rows(), data.cols());
+        assert!(a <= m.min(n) as usize, "grid {a} exceeds matrix {m}x{n}");
         let mut blocks = vec![Vec::new(); a * a];
         for (i, e) in data.iter().enumerate() {
-            let bi = (e.u as usize * a / m).min(a - 1);
-            let bj = (e.v as usize * a / n).min(a - 1);
+            let bi = segment_of(m, a as u32, e.u) as usize;
+            let bj = segment_of(n, a as u32, e.v) as usize;
             blocks[bi * a + bj].push(i);
         }
         let mut s = LibmfTableStream {
@@ -140,6 +140,10 @@ impl UpdateStream for LibmfTableStream {
     fn name(&self) -> &'static str {
         "libmf-table"
     }
+
+    fn block_grid(&self) -> Option<(u32, u32)> {
+        Some((self.a as u32, self.a as u32))
+    }
 }
 
 #[cfg(test)]
@@ -176,8 +180,6 @@ mod tests {
         let data = matrix(100, 100, 3000);
         let a = 10;
         let mut s = LibmfTableStream::new(&data, 5, a, 2);
-        let m = data.rows() as usize;
-        let n = data.cols() as usize;
         let mut done = [false; 5];
         let mut guard = 0;
         while !done.iter().all(|&d| d) {
@@ -190,8 +192,8 @@ mod tests {
                 match s.next(w) {
                     StreamItem::Sample(i) => {
                         let e = data.get(i);
-                        let bi = (e.u as usize * a / m).min(a - 1);
-                        let bj = (e.v as usize * a / n).min(a - 1);
+                        let bi = segment_of(data.rows(), a as u32, e.u);
+                        let bj = segment_of(data.cols(), a as u32, e.v);
                         assert!(rows.insert(bi), "row conflict at block-row {bi}");
                         assert!(cols.insert(bj), "col conflict at block-col {bj}");
                     }

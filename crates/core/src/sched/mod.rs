@@ -53,6 +53,15 @@ pub trait UpdateStream {
 
     /// Human-readable policy name for traces and reports.
     fn name(&self) -> &'static str;
+
+    /// The `(P, Q)` block grid the stream schedules over, when it is a
+    /// blocked policy: row `u` lies in row block
+    /// `partition::segment_of(m, P, u)` and column `v` in column block
+    /// `partition::segment_of(n, Q, v)`. The Sequential engine uses it
+    /// to run blocks that share no row or column block on separate cores.
+    fn block_grid(&self) -> Option<(u32, u32)> {
+        None
+    }
 }
 
 /// Drains a full epoch of a stream, returning per-worker sample sequences.

@@ -24,6 +24,7 @@ use cumf_rng::SeedableRng;
 use cumf_data::CooMatrix;
 
 use super::{StreamItem, UpdateStream};
+use crate::partition::segment_of;
 
 /// Wavefront-update scheduling over an s×c block grid.
 #[derive(Debug, Clone)]
@@ -66,12 +67,10 @@ impl WavefrontStream {
             "more workers than rows"
         );
         assert!(cols as u32 <= data.cols().max(1), "more columns than items");
-        let m = data.rows() as usize;
-        let n = data.cols() as usize;
         let mut blocks = vec![Vec::new(); workers * cols];
         for (i, e) in data.iter().enumerate() {
-            let bw = (e.u as usize * workers / m).min(workers - 1);
-            let bc = (e.v as usize * cols / n).min(cols - 1);
+            let bw = segment_of(data.rows(), workers as u32, e.u) as usize;
+            let bc = segment_of(data.cols(), cols as u32, e.v) as usize;
             blocks[bw * cols + bc].push(i);
         }
         let mut stream = WavefrontStream {
@@ -153,6 +152,10 @@ impl UpdateStream for WavefrontStream {
     fn name(&self) -> &'static str {
         "wavefront"
     }
+
+    fn block_grid(&self) -> Option<(u32, u32)> {
+        Some((self.workers as u32, self.cols as u32))
+    }
 }
 
 #[cfg(test)]
@@ -189,8 +192,8 @@ mod tests {
         let seqs = drain_epoch(&mut s, 100_000);
         for (w, seq) in seqs.iter().enumerate() {
             for &i in seq {
-                let u = data.get(i).u as usize;
-                let bw = (u * 4 / 64).min(3);
+                let u = data.get(i).u;
+                let bw = segment_of(data.rows(), 4, u) as usize;
                 assert_eq!(bw, w, "sample {i} (row {u}) served by worker {w}");
             }
         }
@@ -202,7 +205,6 @@ mod tests {
     fn no_two_workers_share_a_column() {
         let data = matrix(128, 128, 5000);
         let mut s = WavefrontStream::new(&data, 8, 16, 3);
-        let n = data.cols() as usize;
         let mut done = [false; 8];
         let mut guard = 0;
         while !done.iter().all(|&d| d) {
@@ -213,8 +215,7 @@ mod tests {
                 }
                 match s.next(w) {
                     StreamItem::Sample(i) => {
-                        let v = data.get(i).v as usize;
-                        let bc = (v * 16 / n).min(15);
+                        let bc = segment_of(data.cols(), 16, data.get(i).v);
                         assert!(
                             cols_this_round.insert(bc),
                             "two workers updated block-column {bc} in one round"

@@ -89,6 +89,31 @@ impl ChaCha8Rng {
         self.idx = 0;
     }
 
+    /// Skips `words` output words: afterwards the generator yields what
+    /// it would after `words` calls to `next_u32`, without computing the
+    /// blocks in between. Lets threads start independent slices of one
+    /// stream at their own offsets.
+    pub fn advance(&mut self, words: u64) {
+        let left = (16 - self.idx) as u64;
+        if words <= left {
+            self.idx += words as usize;
+            return;
+        }
+        // Absolute word position of the target: the buffered block is
+        // `counter - 1` (or nothing is buffered and `idx` is 16).
+        let counter = u64::from(self.state[12]) | u64::from(self.state[13]) << 32;
+        let target = (counter * 16 - left) + words;
+        let block = target / 16;
+        self.state[12] = block as u32;
+        self.state[13] = (block >> 32) as u32;
+        self.idx = 16;
+        let offset = (target % 16) as usize;
+        if offset > 0 {
+            self.refill();
+            self.idx = offset;
+        }
+    }
+
     #[inline]
     fn next_word(&mut self) -> u32 {
         if self.idx >= 16 {
@@ -186,6 +211,40 @@ mod tests {
             (0..8).map(|_| a.next_u64()).collect::<Vec<_>>(),
             (0..8).map(|_| b.next_u64()).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn advance_equals_drawing_the_skipped_words() {
+        // Starting mid-block, at a block boundary and with nothing
+        // buffered; skips within the block, onto and across boundaries.
+        for start in [0u64, 1, 5, 15, 16, 17, 31, 40] {
+            for n in [0u64, 1, 3, 10, 11, 15, 16, 17, 31, 32, 33, 100, 1_000] {
+                let mut a = ChaCha8Rng::seed_from_u64(start * 1_000 + n);
+                for _ in 0..start {
+                    a.next_u32();
+                }
+                let mut b = a.clone();
+                a.advance(n);
+                for _ in 0..n {
+                    b.next_u32();
+                }
+                let next = |r: &mut ChaCha8Rng| (0..40).map(|_| r.next_u32()).collect::<Vec<_>>();
+                assert_eq!(next(&mut a), next(&mut b), "start {start}, advance {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn advance_carries_into_the_high_counter_word() {
+        let mut a = ChaCha8Rng::from_key([3; 8]);
+        a.state[12] = u32::MAX - 1;
+        let mut b = a.clone();
+        a.advance(40);
+        for _ in 0..40 {
+            b.next_u32();
+        }
+        assert_eq!(a.next_u64(), b.next_u64());
+        assert_eq!(a.state[12..14], b.state[12..14]);
     }
 
     #[test]
